@@ -185,7 +185,7 @@ int main() {
   const SimTime t0 = net.now();
   Rng pick{777};
   for (int k = 0; k < kSteadyEvents; ++k) {
-    net.schedule_control(
+    net.scheduler().schedule_after(
         t0 + SimTime::millis(50 * static_cast<std::int64_t>(k)) - net.now(),
         [&, k] { publish(pick.zipf(kCollections, 0.7)); });
   }
@@ -198,7 +198,7 @@ int main() {
     for (int target = 0; target < kStormTargets; ++target) {
       const SimTime at = storm_start + SimTime::millis(
           5 * static_cast<std::int64_t>(round * kStormTargets + target));
-      net.schedule_control(at - net.now(), [&, target] {
+      net.scheduler().schedule_after(at - net.now(), [&, target] {
         publish(static_cast<std::size_t>(target));
       });
     }

@@ -226,54 +226,54 @@ ChaosSchedule ChaosSchedule::generate(const ChaosConfig& config,
 }
 
 void ChaosSchedule::apply(Network& net) const {
-  // Fault begin/end are control actions: in serial mode they land on the
-  // scheduler exactly as before (bit-identical replay); in sharded mode
-  // the kernel applies them at epoch barriers, where every shard is
-  // quiesced (see Network::schedule_control).
+  // Fault begin/end are plain scheduler events, interleaved with traffic
+  // in (time, insertion) order, so a replay of the same schedule is
+  // bit-identical.
+  Scheduler& sched = net.scheduler();
   for (const Fault& fault : faults_) {
     switch (fault.kind) {
       case FaultKind::kCrash:
-        net.schedule_control(fault.start,
+        sched.schedule_after(fault.start,
                              [&net, node = fault.node] { net.crash(node); });
-        net.schedule_control(fault.end, [&net, node = fault.node] {
+        sched.schedule_after(fault.end, [&net, node = fault.node] {
           net.restart(node);
         });
         break;
       case FaultKind::kBlockPair:
-        net.schedule_control(fault.start, [&net, a = fault.a, b = fault.b] {
+        sched.schedule_after(fault.start, [&net, a = fault.a, b = fault.b] {
           net.block_pair(a, b);
         });
-        net.schedule_control(fault.end, [&net, a = fault.a, b = fault.b] {
+        sched.schedule_after(fault.end, [&net, a = fault.a, b = fault.b] {
           net.unblock_pair(a, b);
         });
         break;
       case FaultKind::kPartition:
-        net.schedule_control(fault.start, [&net, groups = fault.groups] {
+        sched.schedule_after(fault.start, [&net, groups = fault.groups] {
           net.set_partition(groups);
         });
-        net.schedule_control(fault.end, [&net] { net.clear_partition(); });
+        sched.schedule_after(fault.end, [&net] { net.clear_partition(); });
         break;
       case FaultKind::kLossBurst:
-        net.schedule_control(fault.start, [&net, p = fault.prob] {
+        sched.schedule_after(fault.start, [&net, p = fault.prob] {
           net.chaos().extra_loss = p;
         });
-        net.schedule_control(fault.end,
+        sched.schedule_after(fault.end,
                              [&net] { net.chaos().extra_loss = 0.0; });
         break;
       case FaultKind::kLatencySpike:
         if (fault.a.valid() && fault.b.valid()) {
           // Per-link spike: only the targeted pair pays.
-          net.schedule_control(
+          sched.schedule_after(
               fault.start, [&net, a = fault.a, b = fault.b,
                             d = fault.latency] {
                 net.chaos().link_latency[Network::pair_key(a, b)] = d;
               });
-          net.schedule_control(fault.end, [&net, a = fault.a, b = fault.b] {
+          sched.schedule_after(fault.end, [&net, a = fault.a, b = fault.b] {
             net.chaos().link_latency.erase(Network::pair_key(a, b));
           });
         } else if (!fault.groups.empty()) {
           // Per-region spike: every link touching a member pays.
-          net.schedule_control(
+          sched.schedule_after(
               fault.start, [&net, groups = fault.groups,
                             d = fault.latency] {
                 for (const auto& group : groups) {
@@ -282,16 +282,16 @@ void ChaosSchedule::apply(Network& net) const {
                   }
                 }
               });
-          net.schedule_control(fault.end, [&net, groups = fault.groups] {
+          sched.schedule_after(fault.end, [&net, groups = fault.groups] {
             for (const auto& group : groups) {
               for (NodeId n : group) net.chaos().node_latency.erase(n.value());
             }
           });
         } else {
-          net.schedule_control(fault.start, [&net, d = fault.latency] {
+          sched.schedule_after(fault.start, [&net, d = fault.latency] {
             net.chaos().extra_latency = d;
           });
-          net.schedule_control(fault.end, [&net] {
+          sched.schedule_after(fault.end, [&net] {
             net.chaos().extra_latency = SimTime::zero();
           });
         }
@@ -299,7 +299,7 @@ void ChaosSchedule::apply(Network& net) const {
       case FaultKind::kRegionalFailure:
         // Correlated failure: the region's links degrade and the region
         // partitions off as one camp; both effects heal together at end.
-        net.schedule_control(
+        sched.schedule_after(
             fault.start,
             [&net, groups = fault.groups, d = fault.latency] {
               for (const auto& group : groups) {
@@ -309,7 +309,7 @@ void ChaosSchedule::apply(Network& net) const {
               }
               net.set_partition(groups);
             });
-        net.schedule_control(fault.end, [&net, groups = fault.groups] {
+        sched.schedule_after(fault.end, [&net, groups = fault.groups] {
           for (const auto& group : groups) {
             for (NodeId n : group) net.chaos().node_latency.erase(n.value());
           }
@@ -317,19 +317,19 @@ void ChaosSchedule::apply(Network& net) const {
         });
         break;
       case FaultKind::kDuplication:
-        net.schedule_control(fault.start, [&net, p = fault.prob] {
+        sched.schedule_after(fault.start, [&net, p = fault.prob] {
           net.chaos().duplication = p;
         });
-        net.schedule_control(fault.end,
+        sched.schedule_after(fault.end,
                              [&net] { net.chaos().duplication = 0.0; });
         break;
       case FaultKind::kReorder:
-        net.schedule_control(fault.start,
+        sched.schedule_after(fault.start,
                              [&net, p = fault.prob, s = fault.latency] {
                                net.chaos().reorder = p;
                                net.chaos().reorder_span = s;
                              });
-        net.schedule_control(fault.end, [&net] {
+        sched.schedule_after(fault.end, [&net] {
           net.chaos().reorder = 0.0;
           net.chaos().reorder_span = SimTime::zero();
         });

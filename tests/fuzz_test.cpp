@@ -80,10 +80,13 @@ void run_all_decoders(const std::vector<std::byte>& bytes) {
   (void)gsnet::CollResponseBody::decode(bytes);
   (void)gsnet::SearchRequestBody::decode(bytes);
   (void)gsnet::SearchResponseBody::decode(bytes);
+  (void)gsnet::MediatorQueryBody::decode(bytes);
+  (void)gsnet::MediatorReplyBody::decode(bytes);
   (void)alerting::SubscribeBody::decode(bytes);
   (void)alerting::SubscribeAckBody::decode(bytes);
   (void)alerting::CancelBody::decode(bytes);
   (void)alerting::NotificationBody::decode(bytes);
+  (void)alerting::NotificationDigestBody::decode(bytes);
   (void)alerting::AuxProfileBody::decode(bytes);
   (void)alerting::EventForwardBody::decode(bytes);
   (void)alerting::decode_event(bytes);
@@ -173,6 +176,30 @@ std::vector<std::string> random_names(Rng& rng, const char* prefix,
 
 CollectionRef random_ref(Rng& rng) {
   return CollectionRef{random_name(rng, "Host"), random_name(rng, "C")};
+}
+
+alerting::NotificationDigestBody random_digest(Rng& rng) {
+  alerting::NotificationDigestBody body;
+  body.digest_seq = static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 20));
+  const int n = static_cast<int>(rng.uniform_int(0, 4));
+  for (int e = 0; e < n; ++e) {
+    body.entries.push_back(
+        {static_cast<SubscriptionId>(rng.uniform_int(0, 1 << 20)),
+         alerting::encode_event(random_event(rng))});
+  }
+  return body;
+}
+
+gsnet::MediatorReplyBody random_mediator_reply(Rng& rng) {
+  gsnet::MediatorReplyBody body;
+  body.request_id = static_cast<std::uint64_t>(rng.uniform_int(0, 99));
+  body.ok = rng.chance(0.5);
+  body.error = body.ok ? "" : random_name(rng, "err");
+  const int nhits = static_cast<int>(rng.uniform_int(0, 6));
+  for (int h = 0; h < nhits; ++h) {
+    body.hits.push_back(static_cast<DocumentId>(rng.uniform_int(1, 1000)));
+  }
+  return body;
 }
 
 /// encode -> decode -> encode must reproduce the exact bytes: the codec
@@ -275,6 +302,10 @@ TEST_P(CodecRoundTrip, EveryMessageTypeIsByteExact) {
           static_cast<std::uint32_t>(rng.uniform_int(0, 9));
       expect_roundtrip(body);
     }
+    expect_roundtrip(gsnet::MediatorQueryBody{
+        static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 20)),
+        random_name(rng, "C"), "title:" + random_name(rng, "w")});
+    expect_roundtrip(random_mediator_reply(rng));
 
     // alerting/messages.h
     expect_roundtrip(alerting::SubscribeBody{"title:" +
@@ -289,6 +320,7 @@ TEST_P(CodecRoundTrip, EveryMessageTypeIsByteExact) {
     expect_roundtrip(alerting::NotificationBody{
         static_cast<SubscriptionId>(rng.uniform_int(0, 1 << 20)),
         random_event(rng)});
+    expect_roundtrip(random_digest(rng));
     expect_roundtrip(alerting::AuxProfileBody{random_ref(rng),
                                               random_ref(rng)});
     expect_roundtrip(alerting::EventForwardBody{random_ref(rng),
@@ -355,6 +387,37 @@ TEST_P(CodecRoundTrip, MutatedBytesDecodeCanonicallyOrError) {
     expect_canonical_or_error<gds::MulticastBody>(bytes);
     expect_canonical_or_error<gsnet::CollResponseBody>(bytes);
     expect_canonical_or_error<alerting::EventForwardBody>(bytes);
+    expect_canonical_or_error<alerting::NotificationDigestBody>(bytes);
+    expect_canonical_or_error<gsnet::MediatorQueryBody>(bytes);
+    expect_canonical_or_error<gsnet::MediatorReplyBody>(bytes);
+  }
+  // A notification's bytes rarely parse as a digest or a mediator body,
+  // so mutate valid encodings of those three as well.
+  for (int i = 0; i < 150; ++i) {
+    wire::Writer w;
+    switch (rng.uniform_int(0, 2)) {
+      case 0:
+        random_digest(rng).encode(w);
+        break;
+      case 1:
+        gsnet::MediatorQueryBody{
+            static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 20)),
+            random_name(rng, "C"), "title:" + random_name(rng, "w")}
+            .encode(w);
+        break;
+      default:
+        random_mediator_reply(rng).encode(w);
+        break;
+    }
+    std::vector<std::byte> bytes = std::move(w).take();
+    for (int f = 0; f < 3 && !bytes.empty(); ++f) {
+      bytes[rng.index(bytes.size())] ^=
+          static_cast<std::byte>(1 << rng.uniform_int(0, 7));
+    }
+    if (rng.chance(0.3)) bytes.resize(rng.index(bytes.size() + 1));
+    expect_canonical_or_error<alerting::NotificationDigestBody>(bytes);
+    expect_canonical_or_error<gsnet::MediatorQueryBody>(bytes);
+    expect_canonical_or_error<gsnet::MediatorReplyBody>(bytes);
   }
 }
 
