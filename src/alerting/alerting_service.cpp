@@ -118,14 +118,12 @@ void AlertingService::on_started() { ensure_channels(); }
 
 void AlertingService::on_recovered() {
   // A pending batch is in-memory build state and did not survive the
-  // crash; drop it on both the journaled and the legacy path.
+  // crash. Wipe everything the journal covers too: the server's recovery
+  // feeds the snapshot + records back in through recover_durable /
+  // replay_journal. Channels must be attached before replay restores
+  // their unacked entries.
   batch_.clear();
   build_depth_ = 0;
-  if (!server_ || !server_->durable()) return;
-  // Journaled: wipe everything the journal covers, then the server's
-  // recovery feeds the snapshot + records back in through
-  // recover_durable / replay_journal. Channels must be attached before
-  // replay restores their unacked entries.
   subs_.clear();
   index_ = profiles::ProfileIndex{};
   aux_in_.clear();
@@ -139,8 +137,8 @@ void AlertingService::on_recovered() {
 }
 
 void AlertingService::on_restarted() {
-  // Rejoin phase: state is already recovered (journal replay, or kept in
-  // memory on the legacy path); only the retry timers need re-arming.
+  // Rejoin phase: state is already recovered by journal replay; only the
+  // retry timers need re-arming.
   channels_.on_restart();
   delivery_.on_restart();
 }
@@ -240,11 +238,9 @@ void AlertingService::publish(const docmodel::Event& event) {
   batch_.push_back(
       PendingEvent{obs::current_context(), encode_event(event)});
   stats_.events_published += 1;
-  // Outside a build bracket the flush is immediate — semantics (and crash
-  // behaviour) identical to the unbatched path. Inside a build, events
-  // accumulate until build-complete or the batch fills.
-  if (!config_.batch_events || build_depth_ == 0 ||
-      batch_.size() >= config_.max_batch_events) {
+  // Outside a build bracket the flush is immediate. Inside a build,
+  // events accumulate until build-complete or the batch fills.
+  if (build_depth_ == 0 || batch_.size() >= config_.max_batch_events) {
     flush_batch();
   }
 }

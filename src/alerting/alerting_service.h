@@ -9,10 +9,12 @@
 //       profile at the sub-collection's host; matching events are
 //       forwarded back, renamed to the super-collection, and re-broadcast.
 //
-// Reliability: delivery is best-effort end to end, but the aux-profile and
+// Reliability: event floods are best-effort, but the aux-profile and
 // event-forward messages between the two hosts of a distributed collection
 // are queued in a per-destination outbox and retried until acknowledged,
-// implementing §7's "delayed, not lost" recovery argument.
+// implementing §7's "delayed, not lost" recovery argument. Matched
+// notifications ride the same kind of acknowledged channel to each client
+// (the delivery stage), so a hit is never lost once matched.
 #pragma once
 
 #include <cstdint>
@@ -44,16 +46,13 @@ struct AlertingConfig {
   /// capped at 1.5× this value) with deterministic downward jitter so
   /// co-parked senders desynchronize after a partition heals.
   SimTime retry_interval = SimTime::seconds(1);
-  /// Coalesce events raised by one collection (re)build into a single
-  /// kEventBatch flood instead of one kEventAnnounce per event. Flushing
-  /// is synchronous (at build completion or when the batch fills), so
-  /// crash semantics match the unbatched path — no timer, no loss window.
-  bool batch_events = true;
-  /// Flush the pending batch once it holds this many events.
+  /// Events raised by one collection (re)build coalesce into a single
+  /// kEventBatch flood, flushed once the batch holds this many events or
+  /// at build completion. Flushing is synchronous — no timer, so a crash
+  /// opens no loss window.
   std::size_t max_batch_events = 16;
   /// Per-subscriber delivery stage between match and wire (credits,
-  /// coalescing, digests — see src/alerting/delivery.h). The default is
-  /// unmanaged immediate delivery: the pre-delivery-stage packet flow.
+  /// coalescing, digests — see src/alerting/delivery.h).
   DeliveryConfig delivery;
 };
 
@@ -104,7 +103,7 @@ class AlertingService : public gsnet::ServerExtension {
   /// (sub name -> supers). Exposed for tests/benches.
   std::vector<CollectionRef> aux_profiles_for(const std::string& sub) const;
   /// Unacknowledged reliable messages across all peer channels — aux /
-  /// forward traffic plus managed delivery digests (invariant checkers
+  /// forward traffic plus delivery digests (invariant checkers
   /// assert it drains after a heal).
   std::size_t outbox_size() const {
     return channels_.unacked_total() + delivery_.inflight();
@@ -187,9 +186,9 @@ class AlertingService : public gsnet::ServerExtension {
   /// Forward the event to every super-collection host whose auxiliary
   /// profile matches its physical collection.
   void forward_to_supers(const docmodel::Event& event);
-  /// Broadcast the event to all servers through the GDS. With batching
-  /// enabled and a build in progress, the event is appended to the pending
-  /// batch instead; otherwise it is flushed immediately.
+  /// Broadcast the event to all servers through the GDS. During a build
+  /// the event joins the pending batch; otherwise it is flushed
+  /// immediately.
   void publish(const docmodel::Event& event);
   /// Send the pending batch: a single event goes out as a plain
   /// kEventAnnounce under its original trace context, several as one
@@ -230,7 +229,7 @@ class AlertingService : public gsnet::ServerExtension {
   void sync_aux_profiles(const docmodel::Collection& coll);
 
   /// Append one record (types 64..74) to the owning server's journal.
-  /// No-op when the server is absent or non-durable; `payload_size`
+  /// No-op before the service is attached to a server; `payload_size`
   /// must upper-bound the encoded payload (exact reserves keep the
   /// Writer grow budget green).
   template <typename Fn>

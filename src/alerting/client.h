@@ -48,9 +48,9 @@ class Client : public sim::Node {
   void clear_notifications() { notifications_.clear(); }
 
   /// Streaming sink for subscriber-scale benches: when set, notifications
-  /// are handed to the callback instead of being stored (and the
-  /// per-notification dedup ledger is skipped — sink users run loss-free
-  /// unmanaged workloads where wire duplicates cannot occur).
+  /// are handed to the callback instead of being stored, and the
+  /// per-notification dedup ledger is skipped (replayed digests are still
+  /// dropped wholesale by (sender, digest_seq)).
   using NotificationSink =
       std::function<void(SubscriptionId, const docmodel::Event&, SimTime)>;
   void set_notification_sink(NotificationSink sink) {
@@ -81,8 +81,11 @@ class Client : public sim::Node {
   std::vector<SubscriptionId> subscription_ids_;
   std::vector<ReceivedNotification> notifications_;
   NotificationSink sink_;
-  // The server sends one notification per (subscription, event); a second
-  // arrival is a wire-level duplicate and is not recorded.
+  // The gsalert delivery stage sends kNotificationDigest over its
+  // reliable channel; only the B1/B3 baselines send bare
+  // kNotification. Either way the server sends one notification per
+  // (subscription, event); a second arrival (wire duplicate, or a digest
+  // re-flushed after a crash) is fault-recovery noise and not recorded.
   std::unordered_set<std::string> seen_notifications_;
   // Channel-managed digests retransmit until acked; replays of a digest
   // we already processed are dropped wholesale by (sender, digest_seq).

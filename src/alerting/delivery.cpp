@@ -1,6 +1,7 @@
 #include "alerting/delivery.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "alerting/alerting_service.h"
@@ -30,6 +31,9 @@ std::string pending_key(NodeId client, SubscriptionId sub,
 }  // namespace
 
 void DeliveryStage::configure(const DeliveryConfig& config) {
+  if (config.credits == 0) {
+    throw std::invalid_argument("DeliveryConfig::credits must be positive");
+  }
   config_ = config;
 }
 
@@ -131,23 +135,6 @@ void DeliveryStage::note_sent(const ClientQueue& q, const QueueEntry& entry) {
   owner_.stats_.notifications_sent += 1;
 }
 
-void DeliveryStage::send_immediate(ClientQueue& q, SubscriptionId sub,
-                                   const docmodel::Event& event,
-                                   const wire::Frame& bytes) {
-  if (owner_.notification_observer_) {
-    owner_.notification_observer_(q.node, sub, event);
-  }
-  // The subscription id rides msg_id (fixed-width header field), so the
-  // body stays the shared encode-once event frame: no per-subscriber
-  // encode, no per-subscriber body allocation.
-  wire::Envelope env =
-      wire::make_envelope(wire::MessageType::kNotification,
-                          owner_.server_->name(), "", sub, bytes);
-  owner_.server_->send_to(q.node, env);
-  owner_.stats_.notifications_sent += 1;
-  stats_.sent_immediate += 1;
-}
-
 bool DeliveryStage::credit_available(const ClientQueue& q) const {
   return channel_.unacked_to(q.name) < config_.credits;
 }
@@ -159,10 +146,6 @@ void DeliveryStage::offer(NodeId client, SubscriptionId sub,
   const DeliveryPolicy policy = policy_for(sub);
   ClientQueue& q = queue_for(client);
   if (policy.mode == DeliveryMode::kImmediate) {
-    if (!managed()) {
-      send_immediate(q, sub, *event, bytes);
-      return;
-    }
     if (!q.stalled && credit_available(q)) {
       // Digest-of-one on the reliable channel: same framing as windowed
       // delivery, so the client's ack/dedup path is uniform.
@@ -176,17 +159,7 @@ void DeliveryStage::offer(NodeId client, SubscriptionId sub,
       stats_.sent_immediate += 1;
       return;
     }
-    if (!q.stalled) {
-      q.stalled = true;
-      stats_.stalls += 1;
-      if (obs::active()) {
-        obs::emit_span("delivery-stall", owner_.server_->name(),
-                       owner_.server_->net().now(),
-                       {{"client", q.name},
-                        {"unacked",
-                         std::to_string(channel_.unacked_to(q.name))}});
-      }
-    }
+    stall(q);
     enqueue(q, sub, event, bytes, DeliveryMode::kImmediate, SimTime::zero());
     return;
   }
@@ -224,6 +197,18 @@ void DeliveryStage::enqueue(
       std::max<std::uint64_t>(stats_.max_queue_depth, q.entries.size());
   if (mode != DeliveryMode::kImmediate) {
     arm_flush(q, owner_.server_->net().now() + window);
+  }
+}
+
+void DeliveryStage::stall(ClientQueue& q) {
+  if (q.stalled) return;
+  q.stalled = true;
+  stats_.stalls += 1;
+  if (obs::active()) {
+    obs::emit_span("delivery-stall", owner_.server_->name(),
+                   owner_.server_->net().now(),
+                   {{"client", q.name},
+                    {"unacked", std::to_string(channel_.unacked_to(q.name))}});
   }
 }
 
@@ -267,12 +252,7 @@ void DeliveryStage::ship(ClientQueue& q,
                     {"entries", std::to_string(batch.size())},
                     {"digest", std::to_string(body.digest_seq)}});
   }
-  if (managed()) {
-    channel_.send(q.name, std::move(env));
-  } else {
-    env.msg_id = owner_.server_->next_msg_id();
-    owner_.server_->send_to(q.node, env);
-  }
+  channel_.send(q.name, std::move(env));
   stats_.digests_sent += 1;
   stats_.digest_notifications += batch.size();
 }
@@ -283,18 +263,8 @@ void DeliveryStage::flush(ClientQueue& q) {
     q.stalled = false;
     return;
   }
-  if (managed() && !credit_available(q)) {
-    if (!q.stalled) {
-      q.stalled = true;
-      stats_.stalls += 1;
-      if (obs::active()) {
-        obs::emit_span("delivery-stall", owner_.server_->name(),
-                       owner_.server_->net().now(),
-                       {{"client", q.name},
-                        {"unacked",
-                         std::to_string(channel_.unacked_to(q.name))}});
-      }
-    }
+  if (!credit_available(q)) {
+    stall(q);
     return;
   }
   if (q.stalled) {

@@ -6,15 +6,16 @@
 //                 wire::Frame by filter_and_notify and aliased across
 //                 every matching subscriber — N matches cost one body
 //                 encode (gated at 1/event in tests/perf_budget.txt).
-//   backpressure  with credits > 0, per-client delivery rides a
-//                 transport::ChannelSet; a client with `credits` unacked
-//                 digests stalls its queue, and acks resume it once the
-//                 window drains to the low watermark (hysteresis).
+//   backpressure  every notification rides a per-client reliable
+//                 transport::ChannelSet as a kNotificationDigest (an
+//                 immediate hit is a digest of one); a client with
+//                 `credits` unacked digests stalls its queue, and acks
+//                 resume it once the window drains to the low watermark
+//                 (hysteresis).
 //   coalescing    per-subscription policy: immediate, coalesce-window
 //                 (burst + duplicate merge), or periodic digest. Queued
-//                 notifications for one client flush as a single
-//                 kNotificationDigest whose entries alias the
-//                 encode-once payload bytes.
+//                 notifications for one client flush as a single digest
+//                 whose entries copy the encode-once payload bytes.
 //   bounded queues  each client queue spills beyond `queue_capacity`,
 //                 dropping the oldest coalescible entry first.
 //
@@ -42,7 +43,7 @@ namespace gsalert::alerting {
 class AlertingService;
 
 enum class DeliveryMode : std::uint8_t {
-  kImmediate = 0,  // one kNotification (or digest-of-one) per match
+  kImmediate = 0,  // one digest-of-one per match, as soon as credit allows
   kCoalesce = 1,   // hold `window` after the first hit, merge duplicates
   kDigest = 2,     // periodic digest: one message per client per window
 };
@@ -54,11 +55,9 @@ struct DeliveryPolicy {
 };
 
 struct DeliveryConfig {
-  /// Max unacked digests per client before its queue stalls. 0 disables
-  /// the managed (channel-backed) path entirely: immediate notifications
-  /// go straight to the wire and digests are fire-and-forget — the
-  /// pre-delivery-stage contract.
-  std::size_t credits = 0;
+  /// Max unacked digests per client before its queue stalls; must be
+  /// positive (configure() rejects 0).
+  std::size_t credits = 8;
   /// A stalled client resumes once unacked <= low_watermark
   /// (0 = credits / 2).
   std::size_t low_watermark = 0;
@@ -67,7 +66,7 @@ struct DeliveryConfig {
   std::size_t queue_capacity = 1024;
   /// Window for policies that leave DeliveryPolicy::window at zero.
   SimTime default_window = SimTime::millis(100);
-  /// Initial retransmit interval of the managed digest channel.
+  /// Initial retransmit interval of the digest channel.
   SimTime retry_interval = SimTime::seconds(1);
 };
 
@@ -95,13 +94,12 @@ class DeliveryStage {
 
   explicit DeliveryStage(AlertingService& owner) : owner_(owner) {}
 
+  /// Throws std::invalid_argument when config.credits is 0.
   void configure(const DeliveryConfig& config);
   const DeliveryConfig& config() const { return config_; }
   /// Bind the digest channel + timers to the owner's network (idempotent;
   /// the service calls this from its own ensure_channels).
   void ensure_attached();
-  /// Credit-managed (channel-backed) delivery?
-  bool managed() const { return config_.credits > 0; }
 
   /// Set (and journal) one subscription's delivery policy. Immediate
   /// policies are the default and need no entry.
@@ -127,7 +125,7 @@ class DeliveryStage {
   std::size_t queue_depth_total() const;
   /// Current deepest per-client queue (the perf_budget bound).
   std::size_t queue_depth_max() const;
-  /// Unacked digests on the managed channel.
+  /// Unacked digests on the delivery channel.
   std::size_t inflight() const { return channel_.unacked_total(); }
   const DeliveryStats& stats() const { return stats_; }
   const transport::ChannelStats& channel_stats() const {
@@ -171,11 +169,10 @@ class DeliveryStage {
                const std::shared_ptr<const docmodel::Event>& event,
                const wire::Frame& bytes, DeliveryMode mode, SimTime window);
   void spill_one(ClientQueue& q);
-  /// Send one kNotification straight to the wire (unmanaged immediate).
-  void send_immediate(ClientQueue& q, SubscriptionId sub,
-                      const docmodel::Event& event, const wire::Frame& bytes);
-  /// Encode `batch` as one kNotificationDigest and put it on the wire
-  /// (managed: reliable channel; unmanaged: fire-and-forget).
+  /// Pause `q` until its credit window drains (counted once per stall).
+  void stall(ClientQueue& q);
+  /// Encode `batch` as one kNotificationDigest and hand it to the
+  /// client's reliable channel.
   void ship(ClientQueue& q, const std::vector<const QueueEntry*>& batch);
   /// Ship every queued entry of `q` as one digest (credit permitting).
   void flush(ClientQueue& q);
@@ -194,7 +191,7 @@ class DeliveryStage {
   DeliveryConfig config_;
   std::map<SubscriptionId, DeliveryPolicy> policies_;
   std::map<std::string, ClientQueue> queues_;  // keyed by client node name
-  transport::ChannelSet channel_;              // managed digest delivery
+  transport::ChannelSet channel_;              // reliable digest delivery
   std::uint64_t next_entry_seq_ = 1;
   std::uint64_t digest_seq_ = 0;
   bool timer_armed_ = false;

@@ -95,7 +95,7 @@ void GdsServer::on_start() {
   commit_journal();
 }
 
-void GdsServer::clear_state(bool reset_ancestors_to_config) {
+void GdsServer::clear_state() {
   local_servers_.clear();
   name_routes_.clear();
   children_.clear();
@@ -108,25 +108,17 @@ void GdsServer::clear_state(bool reset_ancestors_to_config) {
   // RTT estimates are soft state: re-measured after recovery.
   rtt_outstanding_.clear();
   rtt_.clear();
-  if (reset_ancestors_to_config) {
-    ancestors_ = config_ancestors_;
-    proper_ancestors_ = config_proper_ancestors_;
-  }
+  ancestors_ = config_ancestors_;
+  proper_ancestors_ = config_proper_ancestors_;
   parent_ = ancestors_.empty() ? NodeId::invalid() : ancestors_.front();
 }
 
 void GdsServer::on_recover() {
-  if (config_.durable) {
-    // Wipe memory, reopen the journal and replay: registrations, routes,
-    // children, dedup state and parked custody all come back from disk.
-    clear_state(/*reset_ancestors_to_config=*/true);
-    journal_.reset();
-    ensure_journal();
-  } else {
-    // Legacy amnesia (pre-journal semantics, kept as an ablation): the
-    // node rejoins the tree empty and GS servers re-register.
-    clear_state(/*reset_ancestors_to_config=*/false);
-  }
+  // Wipe memory, reopen the journal and replay: registrations, routes,
+  // children, dedup state and parked custody all come back from disk.
+  clear_state();
+  journal_.reset();
+  ensure_journal();
 }
 
 void GdsServer::on_rejoin() { on_start(); }
@@ -922,7 +914,7 @@ std::vector<std::string> GdsServer::broadcast_seen_keys() const {
 // --- durability --------------------------------------------------------------
 
 void GdsServer::ensure_journal() {
-  if (!config_.durable || journal_) return;
+  if (journal_) return;
   journal_ = std::make_unique<journal::Journal>(
       network().storage(id()), "gds", name(), config_.journal);
   journal_->set_clock([this] { return network().now(); });

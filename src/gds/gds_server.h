@@ -41,15 +41,12 @@ struct GdsConfig {
   int heartbeat_miss_limit = 3;
   /// Duplicate suppression for broadcasts (ablation switch for bench E7).
   bool dedup_enabled = true;
-  /// Journal registrations, routes, children, dedup state and parked
-  /// custody to the node's sim storage; crash-restart replays the journal
-  /// instead of forgetting. The durable child registry is what lets a
-  /// restarted parent keep routing downward without the periodic
-  /// full-hello refresh the pre-journal tree needed (the old
+  /// Registrations, routes, children, dedup state and parked custody are
+  /// journaled to the node's sim storage; crash-restart replays the
+  /// journal. The durable child registry is what lets a restarted parent
+  /// keep routing downward without a periodic full-hello refresh (the old
   /// `hello_refresh_every` soft-state patch, found by `chaos_test
-  /// --seed=9009`). When false the node keeps the PR-1 amnesia
-  /// semantics: rejoin empty, rely on re-registration.
-  bool durable = true;
+  /// --seed=9009`).
   journal::JournalPolicy journal;
   /// Store-and-forward custody for relays whose target is unknown here
   /// (paper §4.1): parked messages wait up to `park_ttl` for the name to
@@ -147,7 +144,7 @@ class GdsServer : public sim::Node {
   /// Broadcast dedup state as sorted "origin#seq" keys (durability
   /// checker: this set may only grow across a crash-restart).
   std::vector<std::string> broadcast_seen_keys() const;
-  /// The node's journal, when durable and started (tests, metrics).
+  /// The node's journal, once started (tests, metrics).
   const journal::Journal* journal() const { return journal_.get(); }
   /// Smoothed RTT towards `node` in microseconds, or -1 before the first
   /// sample (tests and benches assert adaptation against this).
@@ -216,7 +213,7 @@ class GdsServer : public sim::Node {
 
   /// --- durability -------------------------------------------------------
   /// Open the journal over the node's storage and replay it (no-op when
-  /// !config_.durable or already open).
+  /// already open).
   void ensure_journal();
   /// Frame-and-append helper; `payload_size` must be an upper bound on
   /// the encoded payload (exact reserves keep Writer grow budgets green).
@@ -240,7 +237,9 @@ class GdsServer : public sim::Node {
   /// Parent-selection mutation shared by reparent paths and their replay:
   /// point at `new_parent` if it is in the ancestor list (no-op otherwise).
   void apply_parent_select(NodeId new_parent);
-  void clear_state(bool reset_ancestors_to_config);
+  /// Wipe in-memory state ahead of journal replay; the ancestor ring
+  /// resets to the builder-time list.
+  void clear_state();
 
   GdsConfig config_;
   NodeId parent_;                       // invalid at root

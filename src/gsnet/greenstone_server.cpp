@@ -228,7 +228,7 @@ journal::Journal* GreenstoneServer::journal() {
 }
 
 void GreenstoneServer::ensure_journal() {
-  if (!config_.durable || journal_ || !has_network()) return;
+  if (journal_ || !has_network()) return;
   journal_ = std::make_unique<journal::Journal>(
       network().storage(id()), "node", name(), config_.journal);
   journal_->set_clock([this] { return network().now(); });
@@ -278,15 +278,11 @@ void GreenstoneServer::on_recover() {
   // volatile.
   endpoint_.cancel_all();
   mediator_.cancel_all();
-  if (config_.durable) {
-    // Reopen and replay: the extension wipes its journaled state first,
-    // then the recovery below feeds the snapshot + records back into it.
-    journal_.reset();
-    if (extension_) extension_->on_recovered();
-    ensure_journal();
-  } else if (extension_) {
-    extension_->on_recovered();
-  }
+  // Reopen and replay: the extension wipes its journaled state first,
+  // then the recovery below feeds the snapshot + records back into it.
+  journal_.reset();
+  if (extension_) extension_->on_recovered();
+  ensure_journal();
 }
 
 void GreenstoneServer::on_rejoin() {

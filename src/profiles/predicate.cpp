@@ -70,32 +70,6 @@ bool value_op_matches(Op op, const Predicate& p, const std::string& value) {
   }
 }
 
-/// Positive form of a doc-level predicate against one document.
-/// "doc_id" matches the document id; "text" matches terms; anything else
-/// matches metadata values (all comparisons lowercase).
-bool doc_matches_positive(Op op, const Predicate& p,
-                          const docmodel::Document& doc) {
-  if (op == Op::kQuery) return p.query != nullptr && p.query->matches(doc);
-  if (p.attribute == "doc_id") {
-    return value_op_matches(op, p, std::to_string(doc.id));
-  }
-  if (p.attribute == retrieval::kTextAttribute) {
-    return std::any_of(doc.terms.begin(), doc.terms.end(),
-                       [&](const std::string& t) {
-                         return value_op_matches(op, p, t);
-                       });
-  }
-  // One lowercase buffer reused across the scan — to_lower per entry
-  // allocated a fresh string for every metadata value.
-  std::string lowered;
-  for (const auto& [attr, value] : doc.metadata.entries()) {
-    if (attr != p.attribute) continue;
-    to_lower_into(value, lowered);
-    if (value_op_matches(op, p, lowered)) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 bool Predicate::eval(const EventContext& ctx) const {

@@ -12,12 +12,12 @@
 // (peer name, seq). Retransmits re-stamp headers only; the body frame
 // is aliased across attempts (zero-copy).
 //
-// Durability: channel state mirrors the outbox it replaces. Durable
-// owners journal it through the persist hooks (one record per send /
-// ack / floor advance, full state in snapshots via encode_state) and
-// rebuild it on recovery with clear_peers() + the restore_* calls;
-// non-durable owners keep the ChannelSet member across restarts and
-// only re-arm the retry timer. The receiver-side reorder buffer is
+// Durability: channel state mirrors the outbox it replaces. Owners
+// journal it through the persist hooks (one record per send / ack /
+// floor advance, full state in snapshots via encode_state) and rebuild
+// it on recovery with clear_peers() + the restore_* calls; a set without
+// hooks keeps its member state across restarts and only re-arms the
+// retry timer. The receiver-side reorder buffer is
 // deliberately volatile: a crash drops it, the sender's retransmits
 // re-fill it, and the floor keeps redelivery duplicate-free.
 #pragma once

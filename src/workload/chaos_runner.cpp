@@ -472,9 +472,7 @@ class DurabilityChecker : public sim::InvariantChecker {
     std::vector<SubscriptionId> subs;
     std::vector<std::string> seen;
     std::vector<std::string> forwards;
-    // "client#sub#origin#seq" delivery keys pending at the crash
-    // (credit-managed runs only; unmanaged digests are fire-and-forget
-    // and may legally vanish with a lost packet).
+    // "client#sub#origin#seq" delivery keys pending at the crash.
     std::vector<std::string> pending;
   };
 
@@ -493,9 +491,7 @@ class DurabilityChecker : public sim::InvariantChecker {
           SvcSnap{services[i]->subscription_ids(),
                   services[i]->seen_event_keys(),
                   services[i]->processed_forward_keys(),
-                  services[i]->delivery().managed()
-                      ? services[i]->pending_delivery_keys()
-                      : std::vector<std::string>{}};
+                  services[i]->pending_delivery_keys()};
       return;
     }
   }
@@ -699,14 +695,12 @@ ChaosReport run_protocol(const ChaosRunConfig& config,
   sc.journal_compact_bytes = config.journal_compact_bytes;
   sc.sim_topology = config.sim_topology;
   sc.adaptive_tree = config.adaptive_tree;
-  if (config.managed_delivery) {
-    // Small credit window so chaos actually stalls queues; capacity far
-    // above chaos-scale load so nothing spills (a spilled entry would be
-    // an honest loss the durability superset check must not count).
-    sc.alerting.delivery.credits = 8;
-    sc.alerting.delivery.queue_capacity = 4096;
-    sc.alerting.delivery.default_window = SimTime::millis(200);
-  }
+  // The default credit window (8) is small enough that chaos stalls
+  // queues; capacity sits far above chaos-scale load so nothing spills (a
+  // spilled entry would be an honest loss the durability superset check
+  // must not count).
+  sc.alerting.delivery.queue_capacity = 4096;
+  sc.alerting.delivery.default_window = SimTime::millis(200);
   Scenario scenario{sc};
   scenario.net().storage_faults() = config.storage_faults;
   ChaosHarnessOptions harness_options;
@@ -722,41 +716,39 @@ ChaosReport run_protocol(const ChaosRunConfig& config,
   }
   scenario.subscribe_all(config.profiles_per_client);
   scenario.settle(SimTime::seconds(3));
-  if (config.managed_delivery) {
-    // Seeded mix of delivery policies across the acked subscriptions:
-    // roughly a third each immediate / coalesce / digest, windows well
-    // under the churn step so digests flush between publishes.
-    Rng policy_rng{config.seed ^ 0xD311FE27ULL};
-    std::unordered_map<std::uint32_t, alerting::AlertingService*> by_server;
-    const auto& servers = scenario.servers();
-    const auto& services = scenario.gsalert();
-    for (std::size_t i = 0; i < servers.size() && i < services.size(); ++i) {
-      by_server[servers[i]->id().value()] = services[i];
+  // Seeded mix of delivery policies across the acked subscriptions:
+  // roughly a third each immediate / coalesce / digest, windows well
+  // under the churn step so digests flush between publishes.
+  Rng policy_rng{config.seed ^ 0xD311FE27ULL};
+  std::unordered_map<std::uint32_t, alerting::AlertingService*> by_server;
+  const auto& servers = scenario.servers();
+  const auto& services = scenario.gsalert();
+  for (std::size_t i = 0; i < servers.size() && i < services.size(); ++i) {
+    by_server[servers[i]->id().value()] = services[i];
+  }
+  for (const Scenario::SubRecord& record : scenario.sub_records()) {
+    if (record.id == 0) continue;
+    alerting::Client* client = scenario.clients()[record.client_index];
+    const auto service = by_server.find(client->home().value());
+    if (service == by_server.end()) continue;
+    alerting::DeliveryPolicy policy;
+    switch (policy_rng.uniform_int(0, 2)) {
+      case 1:
+        policy.mode = alerting::DeliveryMode::kCoalesce;
+        policy.window = SimTime::millis(
+            100 + 50 * static_cast<std::uint64_t>(
+                           policy_rng.uniform_int(0, 4)));
+        break;
+      case 2:
+        policy.mode = alerting::DeliveryMode::kDigest;
+        policy.window = SimTime::millis(
+            200 + 100 * static_cast<std::uint64_t>(
+                            policy_rng.uniform_int(0, 3)));
+        break;
+      default:
+        break;  // immediate (a digest of one on the channel)
     }
-    for (const Scenario::SubRecord& record : scenario.sub_records()) {
-      if (record.id == 0) continue;
-      alerting::Client* client = scenario.clients()[record.client_index];
-      const auto service = by_server.find(client->home().value());
-      if (service == by_server.end()) continue;
-      alerting::DeliveryPolicy policy;
-      switch (policy_rng.uniform_int(0, 2)) {
-        case 1:
-          policy.mode = alerting::DeliveryMode::kCoalesce;
-          policy.window = SimTime::millis(
-              100 + 50 * static_cast<std::uint64_t>(
-                             policy_rng.uniform_int(0, 4)));
-          break;
-        case 2:
-          policy.mode = alerting::DeliveryMode::kDigest;
-          policy.window = SimTime::millis(
-              200 + 100 * static_cast<std::uint64_t>(
-                              policy_rng.uniform_int(0, 3)));
-          break;
-        default:
-          break;  // immediate (still channel-managed: digest-of-one)
-      }
-      service->second->set_delivery_policy(record.id, policy);
-    }
+    service->second->set_delivery_policy(record.id, policy);
   }
   for (int i = 0; i < config.warmup_publishes; ++i) {
     scenario.publish_random_rebuild(2);

@@ -21,8 +21,8 @@
 //                        keys, processed forwards, and every subscription
 //                        not since cancelled (honest-fsync runs only —
 //                        torn-write scenarios run with full_checks=false).
-//                        On credit-managed delivery runs, every queued
-//                        notification pending at the crash must end up on
+//                        Every queued or unacked notification pending at
+//                        the crash must end up on
 //                        its client or still pending at quiescence
 //                        (superset check over delivery queues + unacked
 //                        digest channel), cancelled subscriptions excepted
@@ -130,12 +130,6 @@ struct ChaosRunConfig {
   int chaos_steps = 10;         // publish/cancel actions across the window
   int final_publishes = 4;      // healthy publishes after full heal
   bool gds_dedup = true;        // ablation / injected-bug switch
-  /// Run the delivery stage credit-managed (credits=8) with a seeded mix
-  /// of per-subscription policies (immediate / coalesce / digest,
-  /// windows <= 500ms) — exercises queue durability, digest replay dedup
-  /// and backpressure under faults. The 300-seed sweep turns this on for
-  /// every third seed.
-  bool managed_delivery = false;
   sim::ChaosConfig chaos;      // window counts; targets filled per run
   /// Register the full checker set (ChaosHarnessOptions::full_checks).
   /// Torn-write runs set this false: a lying fsync may legally lose

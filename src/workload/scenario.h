@@ -50,8 +50,7 @@ struct ScenarioConfig {
   CollectionGenConfig collection;
   ProfileGenConfig profile;
   /// Per-server alerting service config (kGsAlert): delivery credits,
-  /// coalesce windows, event-coalescing — defaults keep the legacy
-  /// unmanaged-immediate delivery contract.
+  /// coalesce windows, event-batch size.
   alerting::AlertingConfig alerting;
   /// Overlay used by the flooding strategies (B2, B4). The real service
   /// ignores it (that is the point: the GS network is too fragmented).

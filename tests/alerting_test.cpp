@@ -279,24 +279,6 @@ TEST(BatchingTest, BatchFlushesAtMaxAndCarriesRemainder) {
   EXPECT_EQ(w.clients[2]->notifications().size(), base + 3);
 }
 
-TEST(BatchingTest, DisabledConfigFloodsPerEvent) {
-  AlertingConfig cfg;
-  cfg.batch_events = false;
-  World w{4, cfg};
-  w.clients[2]->subscribe("host = hamilton");
-  w.settle();
-  ASSERT_TRUE(w.servers[0]->add_collection(
-      config("A"), DataSet{{doc(1, "T", "c"), doc(2, "T2", "c")}}));
-  w.settle(SimTime::seconds(1));
-  ASSERT_TRUE(w.servers[0]->rebuild_collection(
-      "A", DataSet{{doc(1, "T changed", "c"), doc(3, "T3", "c")}}));
-  w.settle(SimTime::seconds(1));
-  // Same deliveries as the batched run, just one flood per event.
-  EXPECT_EQ(w.clients[2]->notifications().size(), 4u);
-  EXPECT_EQ(w.alerting[0]->stats().batches_sent, 0u);
-  EXPECT_EQ(w.alerting[0]->stats().events_published, 4u);
-}
-
 // --- distributed collections: the Figure 3 hybrid flow -----------------------------
 
 struct Figure3World : World {

@@ -38,10 +38,6 @@ ChaosRunConfig config_for_seed(std::uint64_t seed) {
   // sweep crashes nodes right next to (and between) compaction cycles,
   // with the strict crash-durability invariant still armed.
   if (seed % 5 == 0) config.journal_compact_bytes = 4096;
-  // Every third seed runs the delivery stage credit-managed with a mixed
-  // immediate/coalesce/digest policy population, arming the pending-
-  // delivery durability superset check and digest replay dedup.
-  config.managed_delivery = (seed % 3 == 0);
   // Every seventh seed runs on a WAN topology-zoo world instead of the
   // uniform mesh: region-matrix latencies, targeted link/region spikes,
   // correlated regional failures, adaptive re-parenting on half of them,

@@ -1,11 +1,13 @@
-// Delivery-stage tests: encode-once fan-out, credit backpressure with
-// watermark hysteresis, coalesce/digest windows, spill policy, digest
-// replay dedup at the client, and the digest-vs-immediate equivalence
-// property (docs/DELIVERY.md).
+// Delivery-stage tests: encode-once fan-out, reliable default delivery
+// across a blocked link, credit backpressure with watermark hysteresis,
+// coalesce/digest windows, spill policy, digest replay dedup at the
+// client, and the digest-vs-immediate equivalence property
+// (docs/DELIVERY.md).
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -100,6 +102,35 @@ TEST(DeliveryEncodeOnceTest, OneBodyEncodePerEventAtFanout1000) {
   }
 }
 
+// --- reliable default delivery ----------------------------------------------
+
+TEST(DeliveryReliableTest, DefaultImmediateSurvivesBlockedClientLink) {
+  World w{1};  // default AlertingConfig: immediate policy, default credits
+  ASSERT_NE(w.subscribe(0, "host = hamilton AND type = collection_rebuilt"),
+            0u);
+  ASSERT_TRUE(w.server->add_collection(coll_config("A"),
+                                       DataSet{{doc(1, "T")}}));
+  w.settle();
+  // The hit is matched while the server->client link is down: the first
+  // send and every retransmit during the block are dropped on the wire.
+  w.net.block_pair(w.server->id(), w.clients[0]->id());
+  ASSERT_TRUE(w.server->rebuild_collection("A", DataSet{{doc(2, "T")}}));
+  w.settle(SimTime::seconds(3));
+  EXPECT_EQ(w.clients[0]->notifications().size(), 0u);
+  EXPECT_EQ(w.alerting->delivery().inflight(), 1u);
+  w.net.unblock_pair(w.server->id(), w.clients[0]->id());
+  w.settle(SimTime::seconds(5));
+  ASSERT_EQ(w.clients[0]->notifications().size(), 1u);
+  EXPECT_EQ(w.clients[0]->notifications()[0].event.build_version, 2u);
+  EXPECT_EQ(w.alerting->delivery().inflight(), 0u);
+}
+
+TEST(DeliveryConfigTest, ZeroCreditsRejected) {
+  AlertingConfig config;
+  config.delivery.credits = 0;
+  EXPECT_THROW(AlertingService{config}, std::invalid_argument);
+}
+
 // --- credit-based backpressure ----------------------------------------------
 
 TEST(DeliveryBackpressureTest, StallsAtCreditsAndResumesAtWatermark) {
@@ -133,7 +164,7 @@ TEST(DeliveryBackpressureTest, StallsAtCreditsAndResumesAtWatermark) {
 // --- coalescing + digest windows --------------------------------------------
 
 TEST(DeliveryCoalesceTest, WindowBatchesBurstIntoOneDigest) {
-  World w{1};  // unmanaged: digests are fire-and-forget
+  World w{1};
   const SubscriptionId sub =
       w.subscribe(0, "host = hamilton AND type = collection_rebuilt");
   ASSERT_NE(sub, 0u);
@@ -211,9 +242,9 @@ TEST(DeliveryDigestReplayTest, ClientDropsReplayedDigestWholesale) {
 // --- property: digest mode == immediate mode modulo dedup -------------------
 
 /// Drive the same deterministic event sequence through an all-immediate
-/// unmanaged world and a credit-managed world with mixed policies; the
-/// delivered set (client, subscription, event) must be identical — no
-/// lost, no phantom notifications.
+/// world and a narrow-credit world with mixed policies; the delivered set
+/// (client, subscription, event) must be identical — no lost, no phantom
+/// notifications.
 TEST(DeliveryEquivalenceTest, DigestDeliverySetEqualsImmediateSet) {
   const auto drive = [](World& w) {
     ASSERT_TRUE(w.server->add_collection(coll_config("A"),
@@ -254,13 +285,13 @@ TEST(DeliveryEquivalenceTest, DigestDeliverySetEqualsImmediateSet) {
   }
   drive(immediate);
 
-  AlertingConfig managed_config;
-  managed_config.delivery.credits = 3;
-  World managed{3, managed_config};
+  AlertingConfig mixed_config;
+  mixed_config.delivery.credits = 3;
+  World mixed{3, mixed_config};
   std::size_t n = 0;
   for (std::size_t c = 0; c < 3; ++c) {
     for (std::size_t p = 0; p < profiles.size(); ++p) {
-      const SubscriptionId sub = managed.subscribe(c, profiles[p]);
+      const SubscriptionId sub = mixed.subscribe(c, profiles[p]);
       ASSERT_NE(sub, 0u);
       DeliveryPolicy policy;
       switch (n++ % 3) {
@@ -271,18 +302,18 @@ TEST(DeliveryEquivalenceTest, DigestDeliverySetEqualsImmediateSet) {
           policy = {DeliveryMode::kDigest, SimTime::millis(400)};
           break;
         default:
-          break;  // immediate (digest-of-one on the managed channel)
+          break;  // immediate (digest-of-one on the channel)
       }
-      managed.alerting->set_delivery_policy(sub, policy);
+      mixed.alerting->set_delivery_policy(sub, policy);
     }
   }
-  drive(managed);
+  drive(mixed);
 
-  EXPECT_EQ(delivered(immediate), delivered(managed));
+  EXPECT_EQ(delivered(immediate), delivered(mixed));
   EXPECT_FALSE(delivered(immediate).empty());
-  EXPECT_GE(managed.alerting->delivery().stats().digests_sent, 1u);
-  EXPECT_EQ(managed.alerting->delivery().queue_depth_total(), 0u);
-  EXPECT_EQ(managed.alerting->delivery().inflight(), 0u);
+  EXPECT_GE(mixed.alerting->delivery().stats().digests_sent, 1u);
+  EXPECT_EQ(mixed.alerting->delivery().queue_depth_total(), 0u);
+  EXPECT_EQ(mixed.alerting->delivery().inflight(), 0u);
 }
 
 }  // namespace
