@@ -159,7 +159,7 @@ int main() {
             sub, {alerting::DeliveryMode::kDigest, SimTime::millis(300)});
         break;
       default:
-        break;  // immediate (digest-of-one on the channel)
+        break;  // immediate (one digest per event fan-out)
     }
   }
 

@@ -165,13 +165,14 @@ void AlertingService::filter_and_notify(const docmodel::Event& event) {
       1000.0);
   stats_.filter_matches += hits.size();
   // Encode once, fan out many: the event body lands in one refcounted
-  // frame aliased across every matching subscriber; the subscription id
-  // rides the per-subscriber header (msg_id), so N matches cost exactly
-  // one body encode (gated in tests/perf_budget.txt). Both are built
-  // lazily — an event whose hits all point at vanished subscriptions
-  // encodes nothing.
+  // frame shared by every matching subscriber, and the delivery stage
+  // writes it once per client digest, so N matches cost exactly one body
+  // encode (gated in tests/perf_budget.txt). Both are built lazily — an
+  // event whose hits all point at vanished subscriptions encodes nothing.
   std::shared_ptr<const docmodel::Event> shared_event;
   wire::Frame body_frame;
+  std::vector<DeliveryStage::Hit> targets;
+  targets.reserve(hits.size());
   for (profiles::ProfileId id : hits) {
     const auto it = subs_.find(id);
     if (it == subs_.end()) continue;
@@ -180,15 +181,14 @@ void AlertingService::filter_and_notify(const docmodel::Event& event) {
       body_frame = wire::Frame{encode_event(event)};
       stats_.notify_body_encodes += 1;
     }
-    const obs::TraceScope notify_scope{
-        obs::active()
-            ? obs::emit_span(
-                  "notify", server_->name(), server_->net().now(),
-                  {{"sub", std::to_string(id)},
-                   {"client", std::to_string(it->second.client.value())}})
-            : obs::current_context()};
-    delivery_.offer(it->second.client, id, shared_event, body_frame);
+    if (obs::active()) {
+      obs::emit_span("notify", server_->name(), server_->net().now(),
+                     {{"sub", std::to_string(id)},
+                      {"client", std::to_string(it->second.client.value())}});
+    }
+    targets.push_back(DeliveryStage::Hit{it->second.client, id});
   }
+  if (!targets.empty()) delivery_.offer(shared_event, body_frame, targets);
 }
 
 void AlertingService::forward_to_supers(const docmodel::Event& event) {

@@ -14,7 +14,9 @@
 // are queued in a per-destination outbox and retried until acknowledged,
 // implementing §7's "delayed, not lost" recovery argument. Matched
 // notifications ride the same kind of acknowledged channel to each client
-// (the delivery stage), so a hit is never lost once matched.
+// (the delivery stage). An immediate hit waits for credit and is never
+// dropped; only windowed (coalesce/digest) entries beyond a client's
+// queue capacity spill.
 #pragma once
 
 #include <cstdint>

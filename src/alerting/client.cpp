@@ -86,11 +86,12 @@ void Client::on_packet(NodeId from, const sim::Packet& packet) {
       return;
     }
     digests_received_ += 1;
-    for (NotificationDigestBody::Entry& entry : body.value().entries) {
+    for (const NotificationDigestBody::Entry& entry : body.value().entries) {
       auto event = decode_event(entry.event);
       if (!event.ok()) continue;
-      record_notification(from, entry.subscription_id,
-                          std::move(event).take());
+      for (SubscriptionId sub : entry.subscription_ids) {
+        record_notification(from, sub, event.value());
+      }
     }
   }
 }

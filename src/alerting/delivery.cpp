@@ -1,7 +1,9 @@
 #include "alerting/delivery.h"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 
 #include "alerting/alerting_service.h"
@@ -13,8 +15,7 @@ namespace {
 // Journal record types (64..254 are extension records; 64..74 belong to
 // AlertingService itself — see docs/DURABILITY.md).
 constexpr std::uint8_t kJDelivPolicy = 75;  // sub u64, mode u8, window u64
-constexpr std::uint8_t kJDelivEnq = 76;  // node u32, name str, seq u64,
-                                         // sub u64, event bytes
+constexpr std::uint8_t kJDelivEnq = 76;  // node u32, name str, run
 constexpr std::uint8_t kJDelivDone = 77;   // seq u64 (sent or spilled)
 constexpr std::uint8_t kJDChanSend = 78;   // peer str, seq u64, env bytes
 constexpr std::uint8_t kJDChanAck = 79;    // peer str, seq u64
@@ -27,6 +28,14 @@ std::string pending_key(NodeId client, SubscriptionId sub,
                         const docmodel::EventId& id) {
   return std::to_string(client.value()) + "#" + std::to_string(sub) + "#" +
          id.str();
+}
+
+// A run is one event payload followed by the (entry seq, sub) pairs of
+// the queue entries that share it: payload bytes, u32 n, n x (u64, u64).
+// kJDelivEnq records and snapshot queues both store runs, so a payload
+// is written once per run, not once per subscription.
+std::size_t run_wire(std::size_t payload, std::size_t n) {
+  return 4 + payload + 4 + 16 * n;
 }
 }  // namespace
 
@@ -139,65 +148,83 @@ bool DeliveryStage::credit_available(const ClientQueue& q) const {
   return channel_.unacked_to(q.name) < config_.credits;
 }
 
-void DeliveryStage::offer(NodeId client, SubscriptionId sub,
-                          const std::shared_ptr<const docmodel::Event>& event,
-                          const wire::Frame& bytes) {
+void DeliveryStage::offer(const std::shared_ptr<const docmodel::Event>& event,
+                          const wire::Frame& bytes,
+                          const std::vector<Hit>& hits) {
   ensure_attached();
-  const DeliveryPolicy policy = policy_for(sub);
-  ClientQueue& q = queue_for(client);
-  if (policy.mode == DeliveryMode::kImmediate) {
-    if (!q.stalled && credit_available(q)) {
-      // Digest-of-one on the reliable channel: same framing as windowed
-      // delivery, so the client's ack/dedup path is uniform.
+  // Group the hits per client, in first-hit order.
+  std::vector<std::pair<NodeId, std::vector<SubscriptionId>>> per_client;
+  std::unordered_map<std::uint32_t, std::size_t> slot;
+  for (const Hit& hit : hits) {
+    const auto [it, fresh] =
+        slot.try_emplace(hit.client.value(), per_client.size());
+    if (fresh) per_client.push_back({hit.client, {}});
+    per_client[it->second].second.push_back(hit.sub);
+  }
+  const SimTime now = owner_.server_->net().now();
+  for (const auto& [client, subs] : per_client) {
+    ClientQueue& q = queue_for(client);
+    // One credit carries every immediate hit of this event for the client.
+    const bool ready = !q.stalled && credit_available(q);
+    std::vector<QueueEntry> send_now;
+    std::vector<QueueEntry> wait;
+    bool immediate_waits = false;
+    bool windowed = false;
+    SimTime due = SimTime::zero();
+    for (SubscriptionId sub : subs) {
+      const DeliveryPolicy policy = policy_for(sub);
       QueueEntry entry;
       entry.sub = sub;
       entry.event_id = event->id;
       entry.event = event;
       entry.bytes = bytes;
-      ship(q, {&entry});
-      note_sent(q, entry);
-      stats_.sent_immediate += 1;
-      return;
+      entry.mode = policy.mode;
+      if (policy.mode == DeliveryMode::kImmediate) {
+        immediate_waits = immediate_waits || !ready;
+        (ready ? send_now : wait).push_back(std::move(entry));
+        continue;
+      }
+      const bool merged = std::any_of(
+          q.entries.begin(), q.entries.end(), [&](const QueueEntry& e) {
+            return e.mode != DeliveryMode::kImmediate && e.sub == sub &&
+                   e.event_id == event->id;
+          });
+      if (merged) {
+        stats_.coalesced_merges += 1;
+        continue;
+      }
+      const SimTime entry_due = now + window_of(policy);
+      if (!windowed || entry_due < due) due = entry_due;
+      windowed = true;
+      wait.push_back(std::move(entry));
     }
-    stall(q);
-    enqueue(q, sub, event, bytes, DeliveryMode::kImmediate, SimTime::zero());
-    return;
+    if (!send_now.empty()) {
+      std::vector<const QueueEntry*> batch;
+      batch.reserve(send_now.size());
+      for (const QueueEntry& e : send_now) batch.push_back(&e);
+      ship(q, batch);
+      for (const QueueEntry& e : send_now) note_sent(q, e);
+      stats_.sent_immediate += send_now.size();
+    }
+    if (immediate_waits) stall(q);
+    if (!wait.empty()) enqueue(q, std::move(wait));
+    if (windowed) arm_flush(q, due);
   }
-  enqueue(q, sub, event, bytes, policy.mode, window_of(policy));
 }
 
-void DeliveryStage::enqueue(
-    ClientQueue& q, SubscriptionId sub,
-    const std::shared_ptr<const docmodel::Event>& event,
-    const wire::Frame& bytes, DeliveryMode mode, SimTime window) {
-  if (mode != DeliveryMode::kImmediate) {
-    for (const QueueEntry& e : q.entries) {
-      if (e.mode != DeliveryMode::kImmediate && e.sub == sub &&
-          e.event_id == event->id) {
-        stats_.coalesced_merges += 1;
-        return;
-      }
+void DeliveryStage::enqueue(ClientQueue& q, std::vector<QueueEntry> entries) {
+  for (QueueEntry& e : entries) e.seq = next_entry_seq_++;
+  journal_enqueued(q, entries);
+  for (QueueEntry& e : entries) {
+    if (config_.queue_capacity > 0 &&
+        q.entries.size() >= config_.queue_capacity) {
+      spill_one(q);
     }
+    q.entries.push_back(std::move(e));
   }
-  if (config_.queue_capacity > 0 &&
-      q.entries.size() >= config_.queue_capacity) {
-    spill_one(q);
-  }
-  QueueEntry entry;
-  entry.seq = next_entry_seq_++;
-  entry.sub = sub;
-  entry.event_id = event->id;
-  entry.event = event;
-  entry.bytes = bytes;
-  entry.mode = mode;
-  journal_enqueued(q, entry);
-  q.entries.push_back(std::move(entry));
-  stats_.enqueued += 1;
+  stats_.enqueued += entries.size();
   stats_.max_queue_depth =
       std::max<std::uint64_t>(stats_.max_queue_depth, q.entries.size());
-  if (mode != DeliveryMode::kImmediate) {
-    arm_flush(q, owner_.server_->net().now() + window);
-  }
 }
 
 void DeliveryStage::stall(ClientQueue& q) {
@@ -213,11 +240,13 @@ void DeliveryStage::stall(ClientQueue& q) {
 }
 
 void DeliveryStage::spill_one(ClientQueue& q) {
-  auto victim = std::find_if(q.entries.begin(), q.entries.end(),
-                             [](const QueueEntry& e) {
-                               return e.mode != DeliveryMode::kImmediate;
-                             });
-  if (victim == q.entries.end()) victim = q.entries.begin();
+  // Only windowed entries spill. An immediate hit waits for credit and is
+  // never dropped, so a queue of immediate hits grows past the capacity.
+  const auto victim = std::find_if(q.entries.begin(), q.entries.end(),
+                                   [](const QueueEntry& e) {
+                                     return e.mode != DeliveryMode::kImmediate;
+                                   });
+  if (victim == q.entries.end()) return;
   if (obs::active()) {
     obs::emit_span("delivery-spill", owner_.server_->name(),
                    owner_.server_->net().now(),
@@ -234,11 +263,16 @@ void DeliveryStage::ship(ClientQueue& q,
                          const std::vector<const QueueEntry*>& batch) {
   NotificationDigestBody body;
   body.digest_seq = alloc_digest_seq();
-  body.entries.reserve(batch.size());
+  // One digest entry per event: its payload once, then its subscriptions.
+  std::map<docmodel::EventId, std::size_t> slot;
   for (const QueueEntry* e : batch) {
-    const std::span<const std::byte> sp = e->bytes.span();
-    body.entries.push_back(NotificationDigestBody::Entry{
-        e->sub, std::vector<std::byte>(sp.begin(), sp.end())});
+    const auto [it, fresh] = slot.try_emplace(e->event_id, body.entries.size());
+    if (fresh) {
+      const std::span<const std::byte> sp = e->bytes.span();
+      body.entries.push_back(NotificationDigestBody::Entry{
+          {}, std::vector<std::byte>(sp.begin(), sp.end())});
+    }
+    body.entries[it->second].subscription_ids.push_back(e->sub);
   }
   wire::Writer w;
   body.encode(w);
@@ -392,8 +426,9 @@ std::vector<std::string> DeliveryStage::pending_keys() const {
     for (const NotificationDigestBody::Entry& entry : body.value().entries) {
       auto event = decode_event(entry.event);
       if (!event.ok()) continue;
-      out.push_back(
-          pending_key(client, entry.subscription_id, event.value().id));
+      for (SubscriptionId sub : entry.subscription_ids) {
+        out.push_back(pending_key(client, sub, event.value().id));
+      }
     }
   });
   std::sort(out.begin(), out.end());
@@ -403,17 +438,28 @@ std::vector<std::string> DeliveryStage::pending_keys() const {
 
 // --- durability -----------------------------------------------------------
 
+void DeliveryStage::write_run(wire::Writer& w,
+                              std::span<const std::byte> payload,
+                              std::span<const QueueEntry* const> run) {
+  w.bytes(payload);
+  w.seq(run, [](wire::Writer& w2, const QueueEntry* e) {
+    w2.u64(e->seq);
+    w2.u64(e->sub);
+  });
+}
+
 void DeliveryStage::journal_enqueued(const ClientQueue& q,
-                                     const QueueEntry& entry) {
-  const std::span<const std::byte> sp = entry.bytes.span();
+                                     const std::vector<QueueEntry>& entries) {
+  std::vector<const QueueEntry*> run;
+  run.reserve(entries.size());
+  for (const QueueEntry& e : entries) run.push_back(&e);
+  const std::span<const std::byte> payload = entries.front().bytes.span();
   owner_.journal_append(
-      kJDelivEnq, 4 + str_wire(q.name) + 8 + 8 + 4 + sp.size(),
+      kJDelivEnq, 4 + str_wire(q.name) + run_wire(payload.size(), run.size()),
       [&](wire::Writer& w) {
         w.u32(q.node.value());
         w.str(q.name);
-        w.u64(entry.seq);
-        w.u64(entry.sub);
-        w.bytes(sp);
+        write_run(w, payload, run);
       });
 }
 
@@ -422,24 +468,34 @@ void DeliveryStage::journal_done(std::uint64_t entry_seq) {
                         [&](wire::Writer& w) { w.u64(entry_seq); });
 }
 
-void DeliveryStage::restore_entry(NodeId node, const std::string& name,
-                                  std::uint64_t entry_seq, SubscriptionId sub,
-                                  std::vector<std::byte> event_bytes) {
+void DeliveryStage::restore_run(NodeId node, const std::string& name,
+                                wire::Reader& r) {
+  std::vector<std::byte> event_bytes = r.bytes();
+  const auto pairs = r.seq<std::pair<std::uint64_t, SubscriptionId>>(
+      [](wire::Reader& r2) {
+        const std::uint64_t seq = r2.u64();
+        return std::pair{seq, r2.u64()};
+      });
+  if (!r.ok()) return;
   auto event = decode_event(event_bytes);
   if (!event.ok()) return;
+  const auto shared =
+      std::make_shared<const docmodel::Event>(std::move(event).take());
+  const wire::Frame frame{std::move(event_bytes)};
   ClientQueue& q = queues_[name];
   q.node = node;
   if (q.name.empty()) q.name = name;
-  QueueEntry entry;
-  entry.seq = entry_seq;
-  entry.sub = sub;
-  entry.event_id = event.value().id;
-  entry.event =
-      std::make_shared<const docmodel::Event>(std::move(event).take());
-  entry.bytes = wire::Frame{std::move(event_bytes)};
-  entry.mode = policy_for(sub).mode;
-  q.entries.push_back(std::move(entry));
-  if (entry_seq >= next_entry_seq_) next_entry_seq_ = entry_seq + 1;
+  for (const auto& [entry_seq, sub] : pairs) {
+    QueueEntry entry;
+    entry.seq = entry_seq;
+    entry.sub = sub;
+    entry.event_id = shared->id;
+    entry.event = shared;
+    entry.bytes = frame;
+    entry.mode = policy_for(sub).mode;
+    q.entries.push_back(std::move(entry));
+    if (entry_seq >= next_entry_seq_) next_entry_seq_ = entry_seq + 1;
+  }
   // Recovered backlog flushes as soon as the restart re-arms timers.
   q.flush_armed = true;
   q.flush_due = SimTime::zero();
@@ -472,11 +528,19 @@ void DeliveryStage::encode_state(wire::Writer& w) const {
     if (q.entries.empty()) continue;
     w.str(name);
     w.u32(q.node.value());
-    w.u32(static_cast<std::uint32_t>(q.entries.size()));
+    // Consecutive entries of one event form one run (one fan-out queues
+    // its hits together), which keeps queue order and writes each
+    // payload once per run.
+    std::vector<std::vector<const QueueEntry*>> runs;
     for (const QueueEntry& e : q.entries) {
-      w.u64(e.seq);
-      w.u64(e.sub);
-      w.bytes(e.bytes.span());
+      if (runs.empty() || runs.back().front()->event_id != e.event_id) {
+        runs.emplace_back();
+      }
+      runs.back().push_back(&e);
+    }
+    w.u32(static_cast<std::uint32_t>(runs.size()));
+    for (const std::vector<const QueueEntry*>& run : runs) {
+      write_run(w, run.front()->bytes.span(), run);
     }
   }
   channel_.encode_state(w);
@@ -496,12 +560,9 @@ void DeliveryStage::decode_state(wire::Reader& r) {
   for (std::uint32_t i = 0; i < n_queues && r.ok(); ++i) {
     const std::string name = r.str();
     const NodeId node{r.u32()};
-    const std::uint32_t n_entries = r.u32();
-    for (std::uint32_t j = 0; j < n_entries && r.ok(); ++j) {
-      const std::uint64_t seq = r.u64();
-      const SubscriptionId sub = r.u64();
-      std::vector<std::byte> bytes = r.bytes();
-      if (r.ok()) restore_entry(node, name, seq, sub, std::move(bytes));
+    const std::uint32_t n_runs = r.u32();
+    for (std::uint32_t j = 0; j < n_runs && r.ok(); ++j) {
+      restore_run(node, name, r);
     }
   }
   channel_.decode_state(r);
@@ -520,10 +581,7 @@ bool DeliveryStage::replay_journal(std::uint8_t type, wire::Reader& r) {
     case kJDelivEnq: {
       const NodeId node{r.u32()};
       const std::string name = r.str();
-      const std::uint64_t seq = r.u64();
-      const SubscriptionId sub = r.u64();
-      std::vector<std::byte> bytes = r.bytes();
-      if (r.ok()) restore_entry(node, name, seq, sub, std::move(bytes));
+      if (r.ok()) restore_run(node, name, r);
       return true;
     }
     case kJDelivDone: {

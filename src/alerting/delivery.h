@@ -7,17 +7,21 @@
 //                 every matching subscriber — N matches cost one body
 //                 encode (gated at 1/event in tests/perf_budget.txt).
 //   backpressure  every notification rides a per-client reliable
-//                 transport::ChannelSet as a kNotificationDigest (an
-//                 immediate hit is a digest of one); a client with
-//                 `credits` unacked digests stalls its queue, and acks
-//                 resume it once the window drains to the low watermark
-//                 (hysteresis).
+//                 transport::ChannelSet as a kNotificationDigest: the
+//                 immediate hits of one event for one client leave
+//                 together as one digest. A client with `credits` unacked
+//                 digests stalls its queue, and acks resume it once the
+//                 window drains to the low watermark (hysteresis).
 //   coalescing    per-subscription policy: immediate, coalesce-window
 //                 (burst + duplicate merge), or periodic digest. Queued
-//                 notifications for one client flush as a single digest
-//                 whose entries copy the encode-once payload bytes.
-//   bounded queues  each client queue spills beyond `queue_capacity`,
-//                 dropping the oldest coalescible entry first.
+//                 notifications for one client flush as a single digest.
+//   one payload per event  a digest carries each event's bytes once with
+//                 the subscriptions it matched, and a fan-out's queued
+//                 hits journal as one record, so N matches of one event
+//                 copy, CRC and journal the payload once, not N times.
+//   bounded queues  beyond `queue_capacity` the oldest windowed
+//                 (coalesce/digest) entry spills. Immediate hits never
+//                 spill: they wait for credit, however many there are.
 //
 // Durability mirrors the channel outbox: queued entries journal
 // enq/done records (types 75..81), snapshots carry the live queues and
@@ -30,6 +34,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -43,7 +48,7 @@ namespace gsalert::alerting {
 class AlertingService;
 
 enum class DeliveryMode : std::uint8_t {
-  kImmediate = 0,  // one digest-of-one per match, as soon as credit allows
+  kImmediate = 0,  // sent with the event's fan-out, as soon as credit allows
   kCoalesce = 1,   // hold `window` after the first hit, merge duplicates
   kDigest = 2,     // periodic digest: one message per client per window
 };
@@ -61,8 +66,9 @@ struct DeliveryConfig {
   /// A stalled client resumes once unacked <= low_watermark
   /// (0 = credits / 2).
   std::size_t low_watermark = 0;
-  /// Per-client queue bound; beyond it the oldest coalescible entry
-  /// spills (then the oldest of any mode).
+  /// Per-client queue bound; beyond it the oldest coalesce/digest entry
+  /// spills. Immediate entries never spill (the credit stall bounds
+  /// them), so a queue of only immediate entries may exceed it.
   std::size_t queue_capacity = 1024;
   /// Window for policies that leave DeliveryPolicy::window at zero.
   SimTime default_window = SimTime::millis(100);
@@ -76,7 +82,7 @@ struct DeliveryStats {
   std::uint64_t digests_sent = 0;       // kNotificationDigest messages
   std::uint64_t digest_notifications = 0;  // entries shipped inside digests
   std::uint64_t coalesced_merges = 0;   // duplicate (sub, event) merged away
-  std::uint64_t spilled = 0;            // entries dropped at queue capacity
+  std::uint64_t spilled = 0;            // windowed entries dropped at capacity
   std::uint64_t stalls = 0;             // queue paused on exhausted credits
   std::uint64_t resumes = 0;            // queue resumed at the low watermark
   std::uint64_t max_queue_depth = 0;    // deepest any client queue ever got
@@ -106,11 +112,15 @@ class DeliveryStage {
   void set_policy(SubscriptionId sub, DeliveryPolicy policy);
   DeliveryPolicy policy_for(SubscriptionId sub) const;
 
-  /// One match hit. `event` is shared across the fan-out for observers;
-  /// `bytes` is the encode-once event payload frame.
-  void offer(NodeId client, SubscriptionId sub,
-             const std::shared_ptr<const docmodel::Event>& event,
-             const wire::Frame& bytes);
+  /// One matching subscription of one client.
+  struct Hit {
+    NodeId client;
+    SubscriptionId sub = 0;
+  };
+  /// Every hit of one event. `event` is shared across the fan-out for
+  /// observers; `bytes` is the encode-once event payload frame.
+  void offer(const std::shared_ptr<const docmodel::Event>& event,
+             const wire::Frame& bytes, const std::vector<Hit>& hits);
 
   /// Flush-timer + digest-channel timer dispatch; false when not ours.
   bool on_timer(std::uint64_t token);
@@ -165,9 +175,9 @@ class DeliveryStage {
   SimTime window_of(const DeliveryPolicy& policy) const;
   std::size_t low_watermark() const;
   bool credit_available(const ClientQueue& q) const;
-  void enqueue(ClientQueue& q, SubscriptionId sub,
-               const std::shared_ptr<const docmodel::Event>& event,
-               const wire::Frame& bytes, DeliveryMode mode, SimTime window);
+  /// Journal and queue `entries`, hits of one event (one kJDelivEnq run).
+  void enqueue(ClientQueue& q, std::vector<QueueEntry> entries);
+  /// Drop the oldest windowed entry of `q`, if it has one.
   void spill_one(ClientQueue& q);
   /// Pause `q` until its credit window drains (counted once per stall).
   void stall(ClientQueue& q);
@@ -180,12 +190,14 @@ class DeliveryStage {
   void arm_timer(SimTime due);
   SimTime earliest_flush() const;
   std::uint64_t alloc_digest_seq();
-  void journal_enqueued(const ClientQueue& q, const QueueEntry& entry);
+  static void write_run(wire::Writer& w, std::span<const std::byte> payload,
+                        std::span<const QueueEntry* const> run);
+  void journal_enqueued(const ClientQueue& q,
+                        const std::vector<QueueEntry>& entries);
   void journal_done(std::uint64_t entry_seq);
   void note_sent(const ClientQueue& q, const QueueEntry& entry);
-  void restore_entry(NodeId node, const std::string& name,
-                     std::uint64_t entry_seq, SubscriptionId sub,
-                     std::vector<std::byte> event_bytes);
+  /// Queue one run (see write_run) read from a journal record or snapshot.
+  void restore_run(NodeId node, const std::string& name, wire::Reader& r);
 
   AlertingService& owner_;
   DeliveryConfig config_;

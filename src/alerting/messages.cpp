@@ -77,11 +77,14 @@ Result<NotificationBody> NotificationBody::decode(
 
 void NotificationDigestBody::encode(wire::Writer& w) const {
   std::size_t estimate = 8 + 4;  // digest_seq + entry count
-  for (const Entry& e : entries) estimate += 8 + 4 + e.event.size();
+  for (const Entry& e : entries) {
+    estimate += 4 + 8 * e.subscription_ids.size() + 4 + e.event.size();
+  }
   w.reserve(estimate);
   w.u64(digest_seq);
   w.seq(entries, [](wire::Writer& w2, const Entry& e) {
-    w2.u64(e.subscription_id);
+    w2.seq(e.subscription_ids,
+           [](wire::Writer& w3, SubscriptionId sub) { w3.u64(sub); });
     w2.bytes(e.event);
   });
 }
@@ -93,7 +96,8 @@ Result<NotificationDigestBody> NotificationDigestBody::decode(
   out.digest_seq = r.u64();
   out.entries = r.seq<Entry>([](wire::Reader& r2) {
     Entry e;
-    e.subscription_id = r2.u64();
+    e.subscription_ids =
+        r2.seq<SubscriptionId>([](wire::Reader& r3) { return r3.u64(); });
     e.event = r2.bytes();
     return e;
   });

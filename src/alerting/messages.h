@@ -50,14 +50,16 @@ struct NotificationBody {
   static Result<NotificationBody> decode(std::span<const std::byte> body);
 };
 
-/// Several notifications for one client coalesced into a single message
-/// (delivery stage coalesce-window / periodic-digest modes). Entries carry
-/// pre-encoded event bytes so the sender can alias the encode-once frame
-/// without a re-encode. `digest_seq` is unique per (server, digest) so the
-/// client can drop retransmitted digests wholesale.
+/// Several notifications for one client in a single message: every
+/// delivery-stage send (an immediate fan-out, a coalesce window, a
+/// periodic digest, a resumed backlog). Each entry carries one event's
+/// pre-encoded bytes once, followed by every subscription of this client
+/// it matched, so N matches of one event cost one payload on the wire.
+/// `digest_seq` is unique per (server, digest) so the client can drop
+/// retransmitted digests wholesale.
 struct NotificationDigestBody {
   struct Entry {
-    SubscriptionId subscription_id = 0;
+    std::vector<SubscriptionId> subscription_ids;
     std::vector<std::byte> event;  // encode_event() bytes
   };
   std::uint64_t digest_seq = 0;

@@ -1,7 +1,6 @@
 #include "journal/crc32c.h"
 
 #include <array>
-#include <cstring>
 
 namespace gsalert::journal {
 
@@ -24,27 +23,6 @@ constexpr std::array<std::uint32_t, 256> make_table() {
 
 constexpr std::array<std::uint32_t, 256> kTable = make_table();
 
-#if defined(__x86_64__) && defined(__GNUC__)
-// SSE4.2 has a CRC32C instruction (same polynomial, same reflected
-// state) that folds eight bytes per step; picked at runtime.
-__attribute__((target("sse4.2"))) std::uint32_t hw_update(
-    std::uint32_t crc, const std::byte* p, std::size_t n) {
-  std::uint64_t c = crc;
-  for (; n >= 8; p += 8, n -= 8) {
-    std::uint64_t word;
-    std::memcpy(&word, p, sizeof word);
-    c = __builtin_ia32_crc32di(c, word);
-  }
-  crc = static_cast<std::uint32_t>(c);
-  for (; n > 0; ++p, --n) {
-    crc = __builtin_ia32_crc32qi(crc, static_cast<unsigned char>(*p));
-  }
-  return crc;
-}
-
-const bool kHasHwCrc = __builtin_cpu_supports("sse4.2");
-#endif
-
 }  // namespace
 
 void Crc32c::update_byte(std::uint8_t b) {
@@ -52,12 +30,6 @@ void Crc32c::update_byte(std::uint8_t b) {
 }
 
 void Crc32c::update(std::span<const std::byte> bytes) {
-#if defined(__x86_64__) && defined(__GNUC__)
-  if (kHasHwCrc) {
-    state_ = hw_update(state_, bytes.data(), bytes.size());
-    return;
-  }
-#endif
   for (const std::byte b : bytes) {
     update_byte(static_cast<std::uint8_t>(b));
   }

@@ -1,6 +1,5 @@
-// CRC32C (Castagnoli polynomial) — the checksum guarding every journal
-// record. Byte runs go through the SSE4.2 crc32 instruction when the CPU
-// has it, else through the software table; both give identical values. Streaming interface so framed
+// CRC32C (Castagnoli polynomial), software table implementation — the
+// checksum guarding every journal record. Streaming interface so framed
 // fields can be folded in without materializing a contiguous buffer:
 //
 //   Crc32c crc;

@@ -746,7 +746,7 @@ ChaosReport run_protocol(const ChaosRunConfig& config,
                             policy_rng.uniform_int(0, 3)));
         break;
       default:
-        break;  // immediate (a digest of one on the channel)
+        break;  // immediate (one digest per event fan-out)
     }
     service->second->set_delivery_policy(record.id, policy);
   }

@@ -1,8 +1,9 @@
 // Delivery-stage tests: encode-once fan-out, reliable default delivery
-// across a blocked link, credit backpressure with watermark hysteresis,
-// coalesce/digest windows, spill policy, digest replay dedup at the
-// client, and the digest-vs-immediate equivalence property
-// (docs/DELIVERY.md).
+// across a blocked link, immediate bursts beyond the queue capacity,
+// queued fan-outs across a server crash, credit backpressure with
+// watermark hysteresis, coalesce/digest windows, spill policy, digest
+// replay dedup at the client, and the digest-vs-immediate equivalence
+// property (docs/DELIVERY.md).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -125,6 +126,87 @@ TEST(DeliveryReliableTest, DefaultImmediateSurvivesBlockedClientLink) {
   EXPECT_EQ(w.alerting->delivery().inflight(), 0u);
 }
 
+TEST(DeliveryReliableTest, ImmediateBurstBeyondCapacityIsNeverSpilled) {
+  World w{1};  // default AlertingConfig: credits 8, queue_capacity 1024
+  constexpr int kSubs = 50;
+  constexpr int kRebuilds = 30;
+  for (int i = 0; i < kSubs; ++i) {
+    ASSERT_NE(w.subscribe(0, "host = hamilton AND type = collection_rebuilt"),
+              0u);
+  }
+  ASSERT_TRUE(w.server->add_collection(coll_config("A"),
+                                       DataSet{{doc(1, "T")}}));
+  w.settle();
+  w.clients[0]->clear_notifications();
+  // A synchronous burst on a healthy link: the first `credits` rebuilds
+  // leave as one digest each, and the other 22 x 50 = 1100 immediate hits
+  // wait for credit, more than credits + queue_capacity.
+  for (int i = 0; i < kRebuilds; ++i) {
+    ASSERT_TRUE(w.server->rebuild_collection(
+        "A", DataSet{{doc(10 + static_cast<DocumentId>(i), "T")}}));
+  }
+  const DeliveryConfig& config = w.alerting->delivery().config();
+  EXPECT_GT(w.alerting->delivery().queue_depth_total(),
+            config.queue_capacity);
+  w.settle(SimTime::seconds(3));
+  EXPECT_EQ(w.alerting->delivery().stats().spilled, 0u);
+  EXPECT_EQ(w.alerting->delivery().queue_depth_total(), 0u);
+  EXPECT_EQ(w.alerting->delivery().inflight(), 0u);
+  std::set<std::string> keys;
+  for (const auto& received : w.clients[0]->notifications()) {
+    keys.insert(std::to_string(received.subscription_id) + "#" +
+                received.event.id.str());
+  }
+  EXPECT_EQ(w.clients[0]->notifications().size(),
+            static_cast<std::size_t>(kSubs * kRebuilds));
+  EXPECT_EQ(keys.size(), static_cast<std::size_t>(kSubs * kRebuilds));
+}
+
+TEST(DeliveryReliableTest, QueuedFanOutSurvivesServerCrash) {
+  World w{1};
+  constexpr int kSubs = 4;
+  constexpr int kRebuilds = 12;
+  std::vector<SubscriptionId> subs;
+  for (int i = 0; i < kSubs; ++i) {
+    subs.push_back(
+        w.subscribe(0, "host = hamilton AND type = collection_rebuilt"));
+    ASSERT_NE(subs.back(), 0u);
+  }
+  // One windowed subscription, so a queued run mixes policies.
+  w.alerting->set_delivery_policy(
+      subs.back(), DeliveryPolicy{DeliveryMode::kDigest, SimTime::seconds(5)});
+  ASSERT_TRUE(w.server->add_collection(coll_config("A"),
+                                       DataSet{{doc(1, "T")}}));
+  w.settle(SimTime::seconds(6));
+  w.clients[0]->clear_notifications();
+  // With the client unreachable, the first `credits` rebuilds sit unacked
+  // on the channel and the rest queue: each fan-out is one journaled run
+  // carrying its payload once.
+  w.net.block_pair(w.server->id(), w.clients[0]->id());
+  for (int i = 0; i < kRebuilds; ++i) {
+    ASSERT_TRUE(w.server->rebuild_collection(
+        "A", DataSet{{doc(10 + static_cast<DocumentId>(i), "T")}}));
+  }
+  EXPECT_GT(w.alerting->delivery().queue_depth_total(), 0u);
+  w.net.crash(w.server->id());
+  w.net.restart(w.server->id());
+  // The queue and the unacked digests came back from the journal.
+  EXPECT_GT(w.alerting->delivery().queue_depth_total(), 0u);
+  EXPECT_GT(w.alerting->delivery().inflight(), 0u);
+  w.net.unblock_pair(w.server->id(), w.clients[0]->id());
+  w.settle(SimTime::seconds(20));
+  EXPECT_EQ(w.alerting->delivery().queue_depth_total(), 0u);
+  EXPECT_EQ(w.alerting->delivery().inflight(), 0u);
+  std::set<std::string> keys;
+  for (const auto& received : w.clients[0]->notifications()) {
+    keys.insert(std::to_string(received.subscription_id) + "#" +
+                received.event.id.str());
+  }
+  EXPECT_EQ(w.clients[0]->notifications().size(),
+            static_cast<std::size_t>(kSubs * kRebuilds));
+  EXPECT_EQ(keys.size(), static_cast<std::size_t>(kSubs * kRebuilds));
+}
+
 TEST(DeliveryConfigTest, ZeroCreditsRejected) {
   AlertingConfig config;
   config.delivery.credits = 0;
@@ -224,8 +306,7 @@ TEST(DeliveryDigestReplayTest, ClientDropsReplayedDigestWholesale) {
     event.id = {"srv", i};
     event.collection = {"srv", "A"};
     event.build_version = i;
-    body.entries.push_back({/*subscription_id=*/i,
-                            encode_event(event)});
+    body.entries.push_back({/*subscription_ids=*/{i}, encode_event(event)});
   }
   wire::Writer w;
   body.encode(w);
@@ -302,7 +383,7 @@ TEST(DeliveryEquivalenceTest, DigestDeliverySetEqualsImmediateSet) {
           policy = {DeliveryMode::kDigest, SimTime::millis(400)};
           break;
         default:
-          break;  // immediate (digest-of-one on the channel)
+          break;  // immediate (one digest per event fan-out)
       }
       mixed.alerting->set_delivery_policy(sub, policy);
     }

@@ -183,9 +183,14 @@ alerting::NotificationDigestBody random_digest(Rng& rng) {
   body.digest_seq = static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 20));
   const int n = static_cast<int>(rng.uniform_int(0, 4));
   for (int e = 0; e < n; ++e) {
-    body.entries.push_back(
-        {static_cast<SubscriptionId>(rng.uniform_int(0, 1 << 20)),
-         alerting::encode_event(random_event(rng))});
+    alerting::NotificationDigestBody::Entry entry;
+    const int subs = static_cast<int>(rng.uniform_int(0, 3));
+    for (int i = 0; i < subs; ++i) {
+      entry.subscription_ids.push_back(
+          static_cast<SubscriptionId>(rng.uniform_int(0, 1 << 20)));
+    }
+    entry.event = alerting::encode_event(random_event(rng));
+    body.entries.push_back(std::move(entry));
   }
   return body;
 }

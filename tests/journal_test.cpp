@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "journal/crc32c.h"
 #include "journal/journal.h"
 #include "sim/storage.h"
 #include "wire/codec.h"
@@ -109,38 +108,6 @@ void install_log(sim::Storage& storage, const std::string& file,
                  std::span<const std::byte> image) {
   storage.append(file, image);
   storage.flush(file);
-}
-
-TEST(Crc32cTest, MatchesCheckValueAndBytewiseFolding) {
-  const std::string check = "123456789";
-  EXPECT_EQ(crc32c(std::as_bytes(std::span{check.data(), check.size()})),
-            0xE3069283u);
-  // The bulk path (the SSE4.2 instruction where the CPU has it) must
-  // equal table-driven byte folding for every length and start offset
-  // around the 8-byte word boundary.
-  Rng rng{99};
-  std::vector<std::byte> buf(80);
-  for (std::byte& b : buf) {
-    b = static_cast<std::byte>(rng.uniform_int(0, 255));
-  }
-  for (std::size_t off = 0; off < 8; ++off) {
-    for (std::size_t len = 0; off + len <= buf.size(); ++len) {
-      Crc32c bytewise;
-      for (std::size_t i = off; i < off + len; ++i) {
-        bytewise.u8(static_cast<std::uint8_t>(buf[i]));
-      }
-      Crc32c bulk;
-      bulk.u8(0x5A);  // a non-initial state feeds the bulk path too
-      bulk.update(std::span{buf}.subspan(off, len));
-      Crc32c expect;
-      expect.u8(0x5A);
-      for (std::size_t i = off; i < off + len; ++i) {
-        expect.u8(static_cast<std::uint8_t>(buf[i]));
-      }
-      ASSERT_EQ(bulk.value(), expect.value()) << off << "+" << len;
-      ASSERT_EQ(crc32c(std::span{buf}.subspan(off, len)), bytewise.value());
-    }
-  }
 }
 
 TEST(Journal, RoundTripReplaysCommittedRecords) {
