@@ -70,10 +70,11 @@ Status AlertingService::cancel_local(SubscriptionId id) {
   if (it == subs_.end()) {
     return Status{ErrorCode::kNotFound, "unknown subscription"};
   }
+  const NodeId client = it->second.client;
   subs_.erase(it);
   // Queued-but-unsent notifications for the subscription die with it
   // (dangling-profile guarantee extends through the delivery queue).
-  delivery_.drop_subscription(id);
+  delivery_.drop_subscription(id, client);
   journal_append(kJSubCancel, 8, [&](wire::Writer& w) { w.u64(id); });
   if (server_) server_->commit_journal();
   return index_.remove(id);
@@ -889,10 +890,14 @@ bool AlertingService::replay_journal(std::uint8_t type, wire::Reader& r) {
     case kJSubCancel: {
       const SubscriptionId id = r.u64();
       if (!r.ok()) return true;
-      if (subs_.erase(id) > 0) (void)index_.remove(id);
+      const auto it = subs_.find(id);
+      if (it == subs_.end()) return true;
+      const NodeId client = it->second.client;
+      subs_.erase(it);
+      (void)index_.remove(id);
       // Enq records for the cancelled sub replay before this record;
       // re-dropping here keeps the recovered queues cancel-consistent.
-      delivery_.drop_subscription(id);
+      delivery_.drop_subscription(id, client);
       return true;
     }
     case kJSubRequest: {

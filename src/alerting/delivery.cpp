@@ -377,6 +377,7 @@ void DeliveryStage::on_ack(const std::string& peer, std::uint64_t seq) {
 }
 
 void DeliveryStage::on_restart() {
+  replay_index_ = {};  // recovery is over; release the buckets too
   channel_.on_restart();
   timer_armed_ = false;
   const SimTime next = earliest_flush();
@@ -386,11 +387,17 @@ void DeliveryStage::on_restart() {
   }
 }
 
-void DeliveryStage::drop_subscription(SubscriptionId sub) {
-  for (auto& [name, q] : queues_) {
-    std::erase_if(q.entries,
-                  [sub](const QueueEntry& e) { return e.sub == sub; });
-  }
+void DeliveryStage::drop_subscription(SubscriptionId sub, NodeId client) {
+  if (owner_.server_ == nullptr) return;
+  const sim::Node* node = owner_.server_->net().node(client);
+  if (node == nullptr) return;
+  const auto it = queues_.find(node->name());
+  if (it == queues_.end()) return;
+  std::erase_if(it->second.entries, [&](const QueueEntry& e) {
+    if (e.sub != sub) return false;
+    replay_index_.erase(e.seq);
+    return true;
+  });
 }
 
 std::size_t DeliveryStage::queue_depth_total() const {
@@ -494,6 +501,7 @@ void DeliveryStage::restore_run(NodeId node, const std::string& name,
     entry.bytes = frame;
     entry.mode = policy_for(sub).mode;
     q.entries.push_back(std::move(entry));
+    replay_index_.emplace(entry_seq, &q);
     if (entry_seq >= next_entry_seq_) next_entry_seq_ = entry_seq + 1;
   }
   // Recovered backlog flushes as soon as the restart re-arms timers.
@@ -503,6 +511,7 @@ void DeliveryStage::restore_run(NodeId node, const std::string& name,
 
 void DeliveryStage::clear() {
   queues_.clear();
+  replay_index_.clear();
   policies_.clear();
   channel_.clear_peers();
   next_entry_seq_ = 1;
@@ -513,8 +522,14 @@ void DeliveryStage::clear() {
 void DeliveryStage::encode_state(wire::Writer& w) const {
   w.u64(next_entry_seq_);
   w.u64(digest_seq_);
-  w.u32(static_cast<std::uint32_t>(policies_.size()));
-  for (const auto& [sub, policy] : policies_) {
+  // Ascending subscription order keeps snapshots byte-identical across
+  // hash-table layouts.
+  std::vector<std::pair<SubscriptionId, DeliveryPolicy>> policies{
+      policies_.begin(), policies_.end()};
+  std::sort(policies.begin(), policies.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  w.u32(static_cast<std::uint32_t>(policies.size()));
+  for (const auto& [sub, policy] : policies) {
     w.u64(sub);
     w.u8(static_cast<std::uint8_t>(policy.mode));
     w.u64(static_cast<std::uint64_t>(policy.window.as_micros()));
@@ -587,10 +602,15 @@ bool DeliveryStage::replay_journal(std::uint8_t type, wire::Reader& r) {
     case kJDelivDone: {
       const std::uint64_t seq = r.u64();
       if (!r.ok()) return true;
-      for (auto& [name, q] : queues_) {
-        std::erase_if(q.entries,
-                      [seq](const QueueEntry& e) { return e.seq == seq; });
-      }
+      const auto it = replay_index_.find(seq);
+      if (it == replay_index_.end()) return true;
+      // Entry seqs ascend along a queue: binary-search the one queue.
+      std::deque<QueueEntry>& entries = it->second->entries;
+      const auto pos = std::lower_bound(
+          entries.begin(), entries.end(), seq,
+          [](const QueueEntry& e, std::uint64_t s) { return e.seq < s; });
+      if (pos != entries.end() && pos->seq == seq) entries.erase(pos);
+      replay_index_.erase(it);
       return true;
     }
     case kJDChanSend: {

@@ -27,6 +27,9 @@
 // enq/done records (types 75..81), snapshots carry the live queues and
 // the digest channel, and pending_keys() exposes everything accepted
 // but not yet on a client for the chaos crash-durability superset check.
+// Replay costs O(1) per record whatever the number of clients: while
+// recovering, an entry-seq index finds the one queue a done record
+// touches.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +39,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -128,9 +132,10 @@ class DeliveryStage {
   void on_ack(const std::string& peer, std::uint64_t seq);
   /// Re-arm timers after a node restart.
   void on_restart();
-  /// Drop queued entries for a cancelled subscription. Deliberately not
-  /// journaled: replaying the cancellation record re-drops them.
-  void drop_subscription(SubscriptionId sub);
+  /// Drop queued entries for a cancelled subscription of `client` (only
+  /// that client's queue can hold them). Deliberately not journaled:
+  /// replaying the cancellation record re-drops them.
+  void drop_subscription(SubscriptionId sub, NodeId client);
 
   std::size_t queue_depth_total() const;
   /// Current deepest per-client queue (the perf_budget bound).
@@ -165,7 +170,7 @@ class DeliveryStage {
   struct ClientQueue {
     NodeId node;
     std::string name;
-    std::deque<QueueEntry> entries;
+    std::deque<QueueEntry> entries;  // ascending QueueEntry::seq
     SimTime flush_due = SimTime::zero();
     bool flush_armed = false;
     bool stalled = false;  // waiting for the credit window to drain
@@ -201,8 +206,12 @@ class DeliveryStage {
 
   AlertingService& owner_;
   DeliveryConfig config_;
-  std::map<SubscriptionId, DeliveryPolicy> policies_;
+  std::unordered_map<SubscriptionId, DeliveryPolicy> policies_;
   std::map<std::string, ClientQueue> queues_;  // keyed by client node name
+  /// Entry seq -> the queue holding it, for the entries restored since
+  /// the last clear(). Only journal replay reads it (a done record names
+  /// just the seq); on_restart() drops it once recovery is over.
+  std::unordered_map<std::uint64_t, ClientQueue*> replay_index_;
   transport::ChannelSet channel_;              // reliable digest delivery
   std::uint64_t next_entry_seq_ = 1;
   std::uint64_t digest_seq_ = 0;

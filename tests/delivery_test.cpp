@@ -2,8 +2,8 @@
 // across a blocked link, immediate bursts beyond the queue capacity,
 // queued fan-outs across a server crash, credit backpressure with
 // watermark hysteresis, coalesce/digest windows, spill policy, digest
-// replay dedup at the client, and the digest-vs-immediate equivalence
-// property (docs/DELIVERY.md).
+// replay dedup at the client, journal replay across a 256-client crash,
+// and the digest-vs-immediate equivalence property (docs/DELIVERY.md).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -20,6 +20,7 @@
 #include "docmodel/document.h"
 #include "gds/tree_builder.h"
 #include "gsnet/greenstone_server.h"
+#include "journal/journal.h"
 #include "sim/network.h"
 #include "wire/envelope.h"
 
@@ -56,9 +57,11 @@ struct World {
   AlertingService* alerting = nullptr;
   std::vector<Client*> clients;
 
-  explicit World(int n_clients, AlertingConfig config = {}) {
+  explicit World(int n_clients, AlertingConfig config = {},
+                 gsnet::ServerConfig server_config = {}) {
     tree = gds::build_figure2_tree(net);
-    server = net.make_node<gsnet::GreenstoneServer>("Hamilton");
+    server =
+        net.make_node<gsnet::GreenstoneServer>("Hamilton", server_config);
     auto service = std::make_unique<AlertingService>(config);
     alerting = service.get();
     server->set_extension(std::move(service));
@@ -205,6 +208,118 @@ TEST(DeliveryReliableTest, QueuedFanOutSurvivesServerCrash) {
   EXPECT_EQ(w.clients[0]->notifications().size(),
             static_cast<std::size_t>(kSubs * kRebuilds));
   EXPECT_EQ(keys.size(), static_cast<std::size_t>(kSubs * kRebuilds));
+}
+
+// Journal replay at client scale: 256 clients, a quarter of them cut off.
+// At the crash the world holds windowed entries, a spill (its done record
+// removes an entry from the middle of a queue), queues that flushed part
+// of their history, unacked digests, and cancelled subscriptions whose
+// queued entries were dropped. Replay must rebuild exactly the
+// pending set, and after the heal every surviving (sub, event) pair
+// arrives once. Runs with the whole history in the log (every enq and
+// done record replays) and with default compaction (snapshot plus tail).
+void crash_many_clients_and_heal(const journal::JournalPolicy& policy) {
+  AlertingConfig config;
+  config.delivery.credits = 2;
+  config.delivery.queue_capacity = 3;
+  constexpr std::size_t kClients = 256;
+  constexpr int kRebuilds = 6;
+  World w{kClients, config, gsnet::ServerConfig{.journal = policy}};
+  const std::string profile = "host = hamilton AND type = collection_rebuilt";
+  std::vector<SubscriptionId> immediate;
+  std::vector<SubscriptionId> windowed;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    immediate.push_back(w.subscribe(c, profile));
+    windowed.push_back(w.subscribe(c, profile));
+    w.alerting->set_delivery_policy(
+        windowed.back(),
+        c % 2 == 0
+            ? DeliveryPolicy{DeliveryMode::kCoalesce, SimTime::millis(100)}
+            : DeliveryPolicy{DeliveryMode::kDigest, SimTime::millis(150)});
+  }
+  ASSERT_TRUE(w.server->add_collection(coll_config("A"),
+                                       DataSet{{doc(1, "T")}}));
+  w.settle(SimTime::seconds(1));
+  for (Client* client : w.clients) client->clear_notifications();
+
+  // Blocked clients spend their two credits on the first rebuild (its
+  // immediate digest, then its windowed flush). From then on each rebuild
+  // queues an immediate entry ahead of a windowed one, and at capacity the
+  // oldest windowed entry spills from behind the immediate entry before it.
+  for (std::size_t c = 0; c < kClients; c += 4) {
+    w.net.block_pair(w.server->id(), w.clients[c]->id());
+  }
+  for (int i = 0; i < kRebuilds; ++i) {
+    ASSERT_TRUE(w.server->rebuild_collection(
+        "A", DataSet{{doc(10 + static_cast<DocumentId>(i), "T")}}));
+    // The last rebuild gets no settle: healthy clients then hold queued
+    // windowed entries and unacked immediate digests at the crash.
+    if (i + 1 < kRebuilds) w.settle(SimTime::millis(400));
+  }
+  const DeliveryStage& stage = w.alerting->delivery();
+  const std::uint64_t spilled = stage.stats().spilled;
+  EXPECT_GT(spilled, 0u);
+  // Cancel the windowed subscription of every other blocked client: its
+  // queued entries drop now, and the replayed cancel drops them again.
+  const std::size_t depth_before_cancel = stage.queue_depth_total();
+  for (std::size_t c = 4; c < kClients; c += 8) {
+    ASSERT_TRUE(w.alerting->cancel_local(windowed[c]).is_ok());
+  }
+  const std::size_t dropped = depth_before_cancel - stage.queue_depth_total();
+  EXPECT_GT(dropped, 0u);
+  EXPECT_GT(stage.queue_depth_total(), 0u);
+  EXPECT_GT(stage.inflight(), kClients / 4);
+  const std::vector<std::string> before = stage.pending_keys();
+
+  w.net.crash(w.server->id());
+  w.net.restart(w.server->id());
+  w.net.run_until(w.net.now());
+  if (policy.compact_threshold_bytes == 0) {
+    // Thousands of records: every enq/done record came back from the log.
+    EXPECT_GT(w.server->journal()->stats().records_replayed,
+              kClients * kRebuilds);
+  }
+  EXPECT_EQ(stage.pending_keys(), before);
+
+  for (std::size_t c = 0; c < kClients; c += 4) {
+    w.net.unblock_pair(w.server->id(), w.clients[c]->id());
+  }
+  w.settle(SimTime::seconds(30));
+  EXPECT_EQ(stage.queue_depth_total(), 0u);
+  EXPECT_EQ(stage.inflight(), 0u);
+  EXPECT_EQ(stage.stats().spilled, spilled);  // nothing spilled after it
+
+  // Immediate hits never spill: every one arrives. Windowed hits arrive
+  // unless spilled or dropped by the cancel. No pair arrives twice.
+  std::size_t windowed_delivered = 0;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    std::set<std::string> keys;
+    std::size_t immediate_delivered = 0;
+    for (const auto& received : w.clients[c]->notifications()) {
+      EXPECT_TRUE(keys.insert(std::to_string(received.subscription_id) +
+                              "#" + received.event.id.str())
+                      .second)
+          << "duplicate for client " << c;
+      if (received.subscription_id == immediate[c]) {
+        immediate_delivered += 1;
+      } else {
+        EXPECT_EQ(received.subscription_id, windowed[c]);
+        windowed_delivered += 1;
+      }
+    }
+    EXPECT_EQ(immediate_delivered, static_cast<std::size_t>(kRebuilds))
+        << "client " << c;
+  }
+  EXPECT_EQ(windowed_delivered + spilled + dropped, kClients * kRebuilds);
+}
+
+TEST(DeliveryReliableTest, ManyClientCrashReplaysPendingSetFromLog) {
+  crash_many_clients_and_heal(
+      journal::JournalPolicy{.compact_threshold_bytes = 0});
+}
+
+TEST(DeliveryReliableTest, ManyClientCrashReplaysPendingSetFromSnapshot) {
+  crash_many_clients_and_heal(journal::JournalPolicy{});
 }
 
 TEST(DeliveryConfigTest, ZeroCreditsRejected) {

@@ -5,8 +5,12 @@
 // without needing the full bench harness: the shared-frame design keeps
 // bytes_copied to headers only, so the copied-per-event ceiling is tiny
 // compared to the flooded payload volume (which rides in bytes_shared).
+// It also gates the delivery stage's journal replay: its cost per record
+// must not grow with the number of clients.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -15,6 +19,8 @@
 #include <string>
 #include <vector>
 
+#include "alerting/alerting_service.h"
+#include "alerting/messages.h"
 #include "docmodel/event.h"
 #include "gds/gds_client.h"
 #include "gds/tree_builder.h"
@@ -371,6 +377,97 @@ TEST(PerfSmokeTest, ProfilerOverheadStaysWithinBudget) {
       profiler.per_scope_overhead_ns(), pct);
   EXPECT_LE(pct,
             static_cast<double>(budget.at("max_profiler_overhead_pct")));
+}
+
+// Delivery-journal replay gate (docs/DURABILITY.md "Replay cost"): the
+// same stream of kJDelivEnq and kJDelivDone records is replayed with its
+// entries spread over a few clients and over many. Each done record must
+// find its one queue directly, so the many-client replay may cost at most
+// a small budgeted multiple of the few-client one; a done record that
+// scans every client queue costs a multiple of the client count.
+using Records = std::vector<std::pair<std::uint8_t, std::vector<std::byte>>>;
+
+Records delivery_replay_records(std::size_t clients, std::size_t entries) {
+  // The delivery stage's journal record types and layouts, as written by
+  // src/alerting/delivery.cpp (kJDelivEnq: node, name, one run).
+  constexpr std::uint8_t kJDelivEnq = 76;
+  constexpr std::uint8_t kJDelivDone = 77;
+  // Done records trail their enq by a fixed lag, as flushes trail queueing.
+  constexpr std::size_t kLag = 64;
+  Records records;
+  const auto done = [&](std::uint64_t seq) {
+    wire::Writer w;
+    w.u64(seq);
+    records.emplace_back(kJDelivDone, std::move(w).take());
+  };
+  for (std::size_t k = 0; k < entries; ++k) {
+    const std::size_t client = k % clients;
+    docmodel::Event event;
+    event.id = {"srv", k + 1};
+    event.collection = {"srv", "A"};
+    event.build_version = k + 1;
+    wire::Writer w;
+    w.u32(static_cast<std::uint32_t>(client + 1));
+    w.str("client-" + std::to_string(client));
+    w.bytes(alerting::encode_event(event));
+    w.u32(1);
+    w.u64(k + 1);       // entry seq
+    w.u64(client + 1);  // subscription
+    records.emplace_back(kJDelivEnq, std::move(w).take());
+    if (k >= kLag) done(k + 1 - kLag);
+  }
+  for (std::size_t k = entries > kLag ? entries - kLag : 0; k < entries; ++k) {
+    done(k + 1);
+  }
+  return records;
+}
+
+/// Wall seconds to replay `records` into a fresh delivery stage.
+double replay_seconds(const Records& records) {
+  alerting::AlertingService service;
+  alerting::DeliveryStage& stage = service.delivery();
+  const auto t0 = std::chrono::steady_clock::now();
+  for (const auto& [type, bytes] : records) {
+    wire::Reader r{bytes};
+    stage.replay_journal(type, r);
+  }
+  const auto t1 = std::chrono::steady_clock::now();
+  EXPECT_EQ(stage.queue_depth_total(), 0u);
+  return std::chrono::duration<double>(t1 - t0).count();
+}
+
+TEST(PerfSmokeTest, DeliveryReplayCostIsIndependentOfClientCount) {
+  const auto budget = load_budget(GSALERT_PERF_BUDGET_FILE);
+  ASSERT_FALSE(budget.empty());
+  for (const char* key :
+       {"replay_entries", "replay_clients_few", "replay_clients_many",
+        "max_replay_many_over_few_pct"}) {
+    ASSERT_TRUE(budget.count(key)) << "budget file missing key: " << key;
+  }
+  const std::size_t entries = budget.at("replay_entries");
+  const Records few =
+      delivery_replay_records(budget.at("replay_clients_few"), entries);
+  const Records many =
+      delivery_replay_records(budget.at("replay_clients_many"), entries);
+  ASSERT_EQ(few.size(), many.size());
+  // Minimum of three interleaved runs per side: host noise only adds time.
+  double best_few = 1e9;
+  double best_many = 1e9;
+  for (int run = 0; run < 3; ++run) {
+    best_few = std::min(best_few, replay_seconds(few));
+    best_many = std::min(best_many, replay_seconds(many));
+  }
+  const double pct = 100.0 * best_many / best_few;
+  std::printf(
+      "perf-smoke delivery replay: %zu records, %llu clients %.2f ms, "
+      "%llu clients %.2f ms, ratio %.0f%%\n",
+      few.size(),
+      static_cast<unsigned long long>(budget.at("replay_clients_few")),
+      best_few * 1e3,
+      static_cast<unsigned long long>(budget.at("replay_clients_many")),
+      best_many * 1e3, pct);
+  EXPECT_LE(pct,
+            static_cast<double>(budget.at("max_replay_many_over_few_pct")));
 }
 
 }  // namespace
